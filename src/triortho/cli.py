@@ -24,6 +24,7 @@ from .gf2 import _atomic_write_text, format_matrix, read_matrix
 from .logical import (
     FaultSpec,
     SteaneReport,
+    _hadamard_image,
     gauge_parities_of_state,
     logical_hadamard,
     pauli_residual,
@@ -93,14 +94,7 @@ def _ideal_hadamard_image(text: str, code: TriorthogonalCode) -> SparseState:
         return prepare_logical(code, (0,))
     if text == "-":
         return prepare_logical(code, (1,))
-    bits = tuple(int(c) for c in text)
-    amp = complex(2.0 ** (-code.k / 2.0))
-    terms = []
-    for other in range(1 << code.k):
-        other_bits = tuple((other >> i) & 1 for i in range(code.k))
-        sign = -1.0 if sum(a * b for a, b in zip(bits, other_bits)) % 2 else 1.0
-        terms.append((amp * sign, prepare_logical(code, other_bits)))
-    return superpose(terms)
+    return _hadamard_image(code, tuple(int(c) for c in text))
 
 
 def _label_text(bits: Sequence[int]) -> str:

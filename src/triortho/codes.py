@@ -22,6 +22,7 @@ from .gf2 import (
     BitVector,
     _enumerate_span_ints,
     _rref_ints,
+    _solve_ints,
     orthogonal_complement,
 )
 
@@ -171,10 +172,7 @@ class TriorthogonalCode:
     def x_syndrome_of(self, pattern: int) -> int:
         """Syndrome of an X error pattern: bit j is the parity against
         X-stabilizer basis row j."""
-        syndrome = 0
-        for j, row in enumerate(self.g0_basis.row_values()):
-            syndrome |= ((row & pattern).bit_count() & 1) << j
-        return syndrome
+        return _syndrome(self.g0_basis.row_values(), pattern)
 
     def decode_x(self, syndrome: int) -> Optional[BitVector]:
         """Minimum-weight X pattern with the given syndrome, or None when
@@ -185,23 +183,12 @@ class TriorthogonalCode:
         return BitVector(pattern, self.n)
 
 
-def _invert_gf2(rows: list[int], size: int) -> Optional[list[int]]:
-    """Invert a size x size binary matrix, rows as ints.  None if singular."""
-    aug = [rows[i] | (1 << (size + i)) for i in range(size)]
-    for col in range(size):
-        mask = 1 << col
-        pivot = None
-        for idx in range(col, size):
-            if aug[idx] & mask:
-                pivot = idx
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for idx in range(size):
-            if idx != col and aug[idx] & mask:
-                aug[idx] ^= aug[col]
-    return [r >> size for r in aug]
+def _syndrome(rows: list[int], pattern: int) -> int:
+    # Bit j is the overlap parity of the pattern with rows[j].
+    syndrome = 0
+    for j, row in enumerate(rows):
+        syndrome |= ((row & pattern).bit_count() & 1) << j
+    return syndrome
 
 
 def _build_decoder(g0_rows: list[int], n: int) -> dict[int, int]:
@@ -224,9 +211,7 @@ def _build_decoder(g0_rows: list[int], n: int) -> dict[int, int]:
             pattern = 0
             for i in combo:
                 pattern |= 1 << i
-            syndrome = 0
-            for j, row in enumerate(g0_rows):
-                syndrome |= ((row & pattern).bit_count() & 1) << j
+            syndrome = _syndrome(g0_rows, pattern)
             if syndrome not in table:
                 table[syndrome] = pattern
                 if len(table) == target:
@@ -250,7 +235,7 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
         raise ValueError("matrix has no odd rows, so the code has no logical qubits")
 
     even = source.even_matrix()
-    g0_reduced, g0_pivots = _rref_ints(even.row_values(), n)
+    g0_reduced, _ = _rref_ints(even.row_values(), n)
     g0_basis = BitMatrix.from_ints(g0_reduced, n)
 
     full_rank = matrix.rank
@@ -263,21 +248,12 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
 
     # Extend the even-row basis to a basis of the complement.  The new
     # directions represent the quotient carrying the gauge structure.
-    echelon: list[tuple[int, int]] = []
-    for row in g0_reduced:
-        reduced = row
-        for p, r in echelon:
-            if (reduced >> p) & 1:
-                reduced ^= r
-        echelon.append(((reduced & -reduced).bit_length() - 1, reduced))
+    span = g0_reduced
     quotient_reps: list[int] = []
     for row in complement.row_values():
-        reduced = row
-        for p, r in echelon:
-            if (reduced >> p) & 1:
-                reduced ^= r
-        if reduced:
-            echelon.append(((reduced & -reduced).bit_length() - 1, reduced))
+        extended, _ = _rref_ints(span + [row], n)
+        if len(extended) > len(span):
+            span = extended
             quotient_reps.append(row)
     g = len(quotient_reps)
     assert len(g0_reduced) + g == complement.row_count
@@ -293,9 +269,13 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
             for j in range(g):
                 row |= ((quotient_reps[i] & quotient_reps[j]).bit_count() & 1) << j
             gram.append(row)
-        inverse = _invert_gf2(gram, g)
-        if inverse is None:
+        # Row-reduce [gram | I]: gram inverts exactly when its columns are
+        # the first g pivots, and then the right half is the inverse.
+        augmented = [row | 1 << (g + i) for i, row in enumerate(gram)]
+        reduced, pivots = _rref_ints(augmented, 2 * g)
+        if pivots[:g] != list(range(g)):
             raise ValueError("gauge pairing is degenerate; matrix is not self-consistent")
+        inverse = [row >> g for row in reduced]
         x_parts = []
         for i in range(g):
             acc = 0
@@ -374,45 +354,6 @@ def distances(code: TriorthogonalCode) -> tuple[int, int]:
     return d_x, d_z
 
 
-def _solve_affine(
-    masks: list[int], rhs_bits: list[int], n: int
-) -> Optional[tuple[int, list[int]]]:
-    # Solve mask . r = rhs over GF(2); returns (particular, kernel basis)
-    # or None when inconsistent.
-    system = [(m, b) for m, b in zip(masks, rhs_bits)]
-    echelon: list[tuple[int, int, int]] = []  # (pivot column, mask, rhs)
-    for mask, rhs in system:
-        for pivot, pmask, prhs in echelon:
-            if (mask >> pivot) & 1:
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        echelon.append((mask.bit_length() - 1, mask, rhs))
-    for i in range(len(echelon)):
-        pivot, mask, rhs = echelon[i]
-        for j in range(len(echelon)):
-            if j != i and (echelon[j][1] >> pivot) & 1:
-                echelon[j] = (echelon[j][0], echelon[j][1] ^ mask, echelon[j][2] ^ rhs)
-    pivots = {pivot for pivot, _, _ in echelon}
-    particular = 0
-    for pivot, _, rhs in echelon:
-        if rhs:
-            particular |= 1 << pivot
-    kernel = []
-    for col in range(n):
-        if col in pivots:
-            continue
-        vec = 1 << col
-        for pivot, mask, _ in echelon:
-            if (mask >> col) & 1:
-                vec |= 1 << pivot
-        kernel.append(vec)
-    return particular, kernel
-
-
 def search_triorthogonal(
     n: int,
     k: int,
@@ -455,7 +396,7 @@ def search_triorthogonal(
         for a, b in itertools.combinations(kept, 2):
             masks.append(a & b)
             rhs.append(0)
-        solved = _solve_affine(masks, rhs, n)
+        solved = _solve_ints(masks, rhs, n)
         extended = False
         if solved is not None:
             particular, kernel = solved

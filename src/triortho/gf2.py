@@ -7,6 +7,11 @@ so ``BitVector.from_string("0110").value == 0b0110 == 6``.
 
 All operations that combine two vectors are length checked.  Enumeration
 helpers refuse spans larger than ``2**ENUMERATION_GUARD`` elements.
+
+Two private kernels on raw integer rows do every elimination in the
+package: ``_rref_ints`` gives the canonical basis of a row space, and
+``_solve_ints`` gives a particular solution plus a kernel basis of a linear
+system.  ``_enumerate_span_ints`` walks the span or coset they describe.
 """
 
 from __future__ import annotations
@@ -218,6 +223,45 @@ def _rref_ints(rows: list[int], n: int) -> tuple[list[int], list[int]]:
     return out, pivots
 
 
+def _solve_ints(masks: list[int], rhs: list[int], n: int) -> Optional[tuple[int, list[int]]]:
+    """Solve ``masks[i] . x = rhs[i]`` over GF(2) for an ``n``-bit ``x``.
+
+    Returns (particular solution, kernel basis), so the solution set is
+    ``particular + span(kernel)``, or None when the system is inconsistent.
+    Each pivot is the highest bit of its reduced row, the particular
+    solution is zero on every free column, and the kernel basis has one
+    vector per free column, in ascending column order.
+    """
+    echelon: list[tuple[int, int, int]] = []  # (pivot column, row, rhs)
+    for mask, bit in zip(masks, rhs):
+        for pivot, row, row_bit in echelon:
+            if (mask >> pivot) & 1:
+                mask ^= row
+                bit ^= row_bit
+        if mask == 0:
+            if bit:
+                return None
+            continue
+        echelon.append((mask.bit_length() - 1, mask, bit))
+    # Back-substitution: clear every pivot from the other rows.
+    for i, (pivot, row, bit) in enumerate(echelon):
+        for j, (p, r, b) in enumerate(echelon):
+            if j != i and (r >> pivot) & 1:
+                echelon[j] = (p, r ^ row, b ^ bit)
+    particular = sum(bit << pivot for pivot, _, bit in echelon)
+    pivots = {pivot for pivot, _, _ in echelon}
+    kernel = []
+    for col in range(n):
+        if col in pivots:
+            continue
+        vec = 1 << col
+        for pivot, row, _ in echelon:
+            if (row >> col) & 1:
+                vec |= 1 << pivot
+        kernel.append(vec)
+    return particular, kernel
+
+
 @dataclass(frozen=True)
 class RrefResult:
     matrix: BitMatrix
@@ -242,20 +286,10 @@ def orthogonal_complement(matrix: BitMatrix) -> BitMatrix:
     The kernel of the matrix (as a bilinear form), returned in reduced row
     echelon form.  Its rank is ``n - rank(matrix)``.
     """
-    n = matrix.n
-    reduced, pivots = _rref_ints(matrix.row_values(), n)
-    pivot_set = set(pivots)
-    kernel: list[int] = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for row, p in zip(reduced, pivots):
-            if (row >> free) & 1:
-                v |= 1 << p
-        kernel.append(v)
-    canonical, _ = _rref_ints(kernel, n)
-    return BitMatrix.from_ints(canonical, n)
+    rows = matrix.row_values()
+    _, kernel = _solve_ints(rows, [0] * len(rows), matrix.n)
+    canonical, _ = _rref_ints(kernel, matrix.n)
+    return BitMatrix.from_ints(canonical, matrix.n)
 
 
 def span_contains(matrix: BitMatrix, v: BitVector) -> bool:

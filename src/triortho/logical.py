@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .codes import TriorthogonalCode
-from .gf2 import BitVector
+from .gf2 import BitVector, _enumerate_span_ints, _solve_ints
 from .simulator import (
     LabelLike,
     SparseState,
@@ -115,10 +115,6 @@ class SteaneReport:
         }
 
 
-def _apply_pauli_fault(state: SparseState, pauli: str, qubit: int) -> SparseState:
-    return apply_gate(state, pauli, (qubit,))
-
-
 def _steane_round(
     state: SparseState,
     code: TriorthogonalCode,
@@ -140,15 +136,15 @@ def _steane_round(
     data = state
     if with_hadamard:
         for f in by_location["data_pre_h"]:
-            data = _apply_pauli_fault(data, f.pauli, f.qubit)
+            data = apply_gate(data, f.pauli, (f.qubit,))
         for q in range(n):
             data = apply_gate(data, "H", (q,))
     for f in by_location["data_post_h"]:
-        data = _apply_pauli_fault(data, f.pauli, f.qubit)
+        data = apply_gate(data, f.pauli, (f.qubit,))
 
     ancilla = prepare_plus_all(code)
     for f in by_location["ancilla"]:
-        ancilla = _apply_pauli_fault(ancilla, f.pauli, f.qubit)
+        ancilla = apply_gate(ancilla, f.pauli, (f.qubit,))
 
     joint = tensor(data, ancilla)
     data_mask = (1 << n) - 1
@@ -303,7 +299,10 @@ def pauli_residual(
     All X shifts mapping the ideal support onto the observed support are
     tried; for each, the sign pattern is solved as a linear system whose
     full solution space (particular solution plus null space of the support
-    differences) is enumerated to minimize the touched-site count.
+    differences) is enumerated to minimize the touched-site count.  Ties
+    go to the smallest ``(sites, x, z)`` with the patterns compared as
+    integers, so the representative does not depend on the null-space
+    basis.
     """
     if observed.n != ideal.n:
         return None
@@ -314,6 +313,7 @@ def pauli_residual(
     ideal_keys = sorted(ideal.amps)
     k_out = min(obs_keys)
     k0 = ideal_keys[0]
+    masks = [k ^ k0 for k in ideal_keys[1:]]
     best: Optional[tuple[int, int, int]] = None
 
     for k_id in ideal_keys:
@@ -323,66 +323,27 @@ def pauli_residual(
         rho0 = observed.amps[k0 ^ r] / ideal.amps[k0]
         if abs(abs(rho0) - 1.0) > tol:
             continue
-        # Row-reduce the sign constraints t . (k ^ k0) = rhs over GF(2).
-        echelon: list[tuple[int, int, int]] = []
-        consistent = True
+        # Solve the sign constraints t . (k ^ k0) = rhs over GF(2).
+        rhs = []
         for k in ideal_keys[1:]:
-            rho = observed.amps[k ^ r] / ideal.amps[k]
-            s = rho / rho0
+            s = observed.amps[k ^ r] / ideal.amps[k] / rho0
             if abs(s - 1.0) <= tol:
-                rhs = 0
+                rhs.append(0)
             elif abs(s + 1.0) <= tol:
-                rhs = 1
+                rhs.append(1)
             else:
-                consistent = False
                 break
-            vec = k ^ k0
-            for pivot, pv, prhs in echelon:
-                if (vec >> pivot) & 1:
-                    vec ^= pv
-                    rhs ^= prhs
-            if vec:
-                echelon.append(((vec & -vec).bit_length() - 1, vec, rhs))
-            elif rhs:
-                consistent = False
-                break
-        if not consistent:
-            continue
-        # Back-substitution: clear every pivot from the other rows so the
-        # particular solution and kernel read off directly.
-        for i in range(len(echelon)):
-            p_i, v_i, r_i = echelon[i]
-            for j in range(len(echelon)):
-                if i != j and (echelon[j][1] >> p_i) & 1:
-                    p_j, v_j, r_j = echelon[j]
-                    echelon[j] = (p_j, v_j ^ v_i, r_j ^ r_i)
-        t0 = 0
-        for pivot, _vec, rhs in echelon:
-            if rhs:
-                t0 |= 1 << pivot
-        pivots = {p for p, _, _ in echelon}
-        null_basis = []
-        for free in range(n):
-            if free in pivots:
+        else:
+            solved = _solve_ints(masks, rhs, n)
+            if solved is None:
                 continue
-            v = 1 << free
-            for pivot, vec, _ in echelon:
-                if (vec >> free) & 1:
-                    v |= 1 << pivot
-            null_basis.append(v)
-        if len(null_basis) > 20:
-            raise ValueError("residual null space too large to enumerate")
-        t = t0
-        sites = (r | t).bit_count()
-        cand = (sites, r, t)
-        if best is None or cand[0] < best[0]:
-            best = cand
-        current = t0
-        for i in range(1, 1 << len(null_basis)):
-            current ^= null_basis[(i & -i).bit_length() - 1]
-            sites = (r | current).bit_count()
-            if best is None or sites < best[0]:
-                best = (sites, r, current)
+            t0, null_basis = solved
+            if len(null_basis) > 20:
+                raise ValueError("residual null space too large to enumerate")
+            for t in _enumerate_span_ints(null_basis, t0):
+                sites = (r | t).bit_count()
+                if best is None or sites <= best[0] and (sites, r, t) < best:
+                    best = (sites, r, t)
     if best is None:
         return None
     return PauliResidual(

@@ -343,13 +343,8 @@ def prepare_logical(code: TriorthogonalCode, label: LabelLike) -> SparseState:
 def prepare_plus_all(code: TriorthogonalCode) -> SparseState:
     """Encoded |+> on every logical qubit, gauge bits zero: the uniform
     superposition over the full matrix row space."""
-    basis, _ = _reduced_full_basis(code)
-    return _uniform_coset(code.n, basis, 0)
-
-
-def _reduced_full_basis(code: TriorthogonalCode) -> tuple[list[int], int]:
     basis = code.g0_basis.row_values() + [v.value for v in code.logical_x]
-    return basis, len(basis)
+    return _uniform_coset(code.n, basis, 0)
 
 
 def _uniform_coset(n: int, basis: list[int], shift: int) -> SparseState:
@@ -379,17 +374,6 @@ class PhaseCheckResult:
     @property
     def matches(self) -> bool:
         return self.uniform and self.phase == self.expected
-
-
-def _coset_values(code: TriorthogonalCode, label: LabelLike) -> list[int]:
-    lab = LogicalBasisLabel.of(label)
-    if len(lab.bits) != code.k:
-        raise ValueError(f"label has {len(lab.bits)} bits for a code with k={code.k}")
-    shift = 0
-    for bit, row in zip(lab.bits, code.logical_x):
-        if bit:
-            shift ^= row.value
-    return list(_enumerate_span_ints(code.g0_basis.row_values(), shift))
 
 
 def transversal_multi_cz_phase_check(
@@ -422,7 +406,7 @@ def transversal_multi_cz_phase_check(
         expected_parity ^= product
     expected = -1 if expected_parity else 1
 
-    cosets = [_coset_values(code, lab) for lab in labs]
+    cosets = [list(prepare_logical(code, lab.bits).amps) for lab in labs]
     first: Optional[int] = None
     terms = 0
 

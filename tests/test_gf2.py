@@ -8,6 +8,9 @@ from triortho.gf2 import (
     ENUMERATION_GUARD,
     BitMatrix,
     BitVector,
+    _enumerate_span_ints,
+    _rref_ints,
+    _solve_ints,
     enumerate_span,
     format_matrix,
     orthogonal_complement,
@@ -205,3 +208,34 @@ def test_parse_matrix_rejects_ragged_and_empty():
 def test_format_matrix_leftmost_is_coordinate_zero():
     mat = BitMatrix.from_ints([0b001], 3)
     assert format_matrix(mat) == "100\n"
+
+
+def test_solve_ints_matches_brute_force():
+    rng = random.Random(11)
+    systems = [([], [], 0), ([], [], 5), ([0, 0], [0, 0], 3), ([0], [1], 3)]
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        m = rng.randrange(0, 2 * n + 2)
+        masks = [rng.getrandbits(n) if rng.random() > 0.2 else 0 for _ in range(m)]
+        if m and rng.random() < 0.3:
+            # Force a dependent row so that both consistent and inconsistent
+            # right-hand sides come up often.
+            masks[-1] = masks[0] ^ masks[rng.randrange(m)]
+        systems.append((masks, [rng.getrandbits(1) for _ in range(m)], n))
+    outcomes = set()
+    for masks, rhs, n in systems:
+        exact = {
+            x
+            for x in range(1 << n)
+            if all((mask & x).bit_count() % 2 == b for mask, b in zip(masks, rhs))
+        }
+        solved = _solve_ints(masks, rhs, n)
+        outcomes.add(solved is None)
+        if not exact:
+            assert solved is None
+            continue
+        assert solved is not None
+        particular, kernel = solved
+        assert len(_rref_ints(kernel, n)[0]) == len(kernel)
+        assert set(_enumerate_span_ints(kernel, particular)) == exact
+    assert outcomes == {True, False}

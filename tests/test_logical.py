@@ -341,6 +341,36 @@ class TestPauliResidual:
         assert residual is not None
         assert residual.sites == 7
 
+    def test_ties_go_to_smallest_sites_x_z(self):
+        # Four-qubit GHZ: ZZ on any pair stabilizes it, so a single Z has
+        # four minimum-site representatives.
+        def apply_pauli(state, x, z):
+            for q in range(4):
+                if (z >> q) & 1:
+                    state = apply_gate(state, "Z", (q,))
+                if (x >> q) & 1:
+                    state = apply_gate(state, "X", (q,))
+            return state
+
+        ghz = apply_gate(SparseState.basis_state(4, 0), "H", (0,))
+        for q in (1, 2, 3):
+            ghz = apply_gate(ghz, "CNOT", (0, q))
+        paulis = [(0, 0b0100), (0b1000, 0), (0b0010, 0b0010), (0b0110, 0b1001), (0, 0b1111)]
+        ties = []
+        for x, z in paulis:
+            observed = apply_pauli(ghz, x, z)
+            explaining = [
+                ((bx | bz).bit_count(), bx, bz)
+                for bx in range(16)
+                for bz in range(16)
+                if states_equal_up_to_global_phase(apply_pauli(ghz, bx, bz), observed)
+            ]
+            residual = pauli_residual(observed, ghz)
+            got = (residual.sites, residual.x_pattern.value, residual.z_pattern.value)
+            assert got == min(explaining)
+            ties.append(sum(e[0] == got[0] for e in explaining))
+        assert ties[0] == 4
+
 
 class TestGaugeParities:
     def test_prepared_states_have_zero_parities(self, builtin_code, small8_code):
