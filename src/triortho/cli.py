@@ -65,22 +65,13 @@ def _parse_fault(text: str) -> FaultSpec:
 
 
 def _parse_input_state(text: str, code: TriorthogonalCode) -> SparseState:
-    if text == "+":
+    if text in ("+", "-"):
         if code.k != 1:
-            raise ValueError("input '+' needs a single logical qubit")
+            raise ValueError(f"input {text!r} needs a single logical qubit")
         return superpose(
             [
                 (complex(1.0), prepare_logical(code, (0,))),
-                (complex(1.0), prepare_logical(code, (1,))),
-            ]
-        )
-    if text == "-":
-        if code.k != 1:
-            raise ValueError("input '-' needs a single logical qubit")
-        return superpose(
-            [
-                (complex(1.0), prepare_logical(code, (0,))),
-                (complex(-1.0), prepare_logical(code, (1,))),
+                (complex(float(text + "1")), prepare_logical(code, (1,))),
             ]
         )
     bits = tuple(int(c) for c in text)

@@ -146,17 +146,18 @@ def _steane_round(
     for f in by_location["ancilla"]:
         ancilla = apply_gate(ancilla, f.pauli, (f.qubit,))
 
+    flip = 0
+    for f in by_location["cnot_data"] + by_location["cnot_both"]:
+        flip ^= 1 << f.qubit
+    for f in by_location["cnot_ancilla"] + by_location["cnot_both"]:
+        flip ^= 1 << (n + f.qubit)
     joint = tensor(data, ancilla)
     data_mask = (1 << n) - 1
-    # Transversal CNOT, data controlling ancilla, as one key relabeling.
-    joint = SparseState(2 * n, {k ^ ((k & data_mask) << n): a for k, a in joint.amps.items()})
-    for f in by_location["cnot_data"]:
-        joint = apply_gate(joint, "X", (f.qubit,))
-    for f in by_location["cnot_ancilla"]:
-        joint = apply_gate(joint, "X", (n + f.qubit,))
-    for f in by_location["cnot_both"]:
-        joint = apply_gate(joint, "X", (f.qubit,))
-        joint = apply_gate(joint, "X", (n + f.qubit,))
+    # Transversal CNOT, data controlling ancilla, then the X faults after
+    # it, as one key relabeling.
+    joint = SparseState(
+        2 * n, {k ^ ((k & data_mask) << n) ^ flip: a for k, a in joint.amps.items()}
+    )
 
     outcome, collapsed = measure_register(
         joint, range(n, 2 * n), rng=rng, force=force_outcomes

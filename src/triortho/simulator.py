@@ -31,7 +31,6 @@ __all__ = [
     "drop_qubits",
     "measure_z",
     "measure_register",
-    "register_distribution",
     "states_equal_up_to_global_phase",
     "LogicalBasisLabel",
     "prepare_logical",
@@ -124,12 +123,6 @@ def apply_gate(state: SparseState, gate: str, qubits: Sequence[int]) -> SparseSt
         raise ValueError(f"{gate} takes {arity} qubit(s), got {len(qubits)}")
     _check_qubits(state, qubits)
     amps = state.amps
-    if gate == "X":
-        mask = 1 << qubits[0]
-        return SparseState(state.n, {k ^ mask: a for k, a in amps.items()})
-    if gate == "Z":
-        mask = 1 << qubits[0]
-        return SparseState(state.n, {k: -a if k & mask else a for k, a in amps.items()})
     if gate == "H":
         mask = 1 << qubits[0]
         out: dict[int, complex] = {}
@@ -140,17 +133,15 @@ def apply_gate(state: SparseState, gate: str, qubits: Sequence[int]) -> SparseSt
             out[lo] = out.get(lo, 0.0) + contrib
             out[hi] = out.get(hi, 0.0) + (-contrib if k & mask else contrib)
         return SparseState(state.n, out).prune()
-    if gate == "CNOT":
-        cmask = 1 << qubits[0]
-        tmask = 1 << qubits[1]
-        return SparseState(state.n, {(k ^ tmask if k & cmask else k): a for k, a in amps.items()})
-    if gate == "CZ":
-        both = (1 << qubits[0]) | (1 << qubits[1])
-        return SparseState(
-            state.n, {k: -a if (k & both) == both else a for k, a in amps.items()}
-        )
-    mask3 = (1 << qubits[0]) | (1 << qubits[1]) | (1 << qubits[2])
-    return SparseState(state.n, {k: -a if (k & mask3) == mask3 else a for k, a in amps.items()})
+    if gate in ("X", "CNOT"):
+        # Flip the last listed qubit where every earlier one is set.
+        controls = sum(1 << q for q in qubits[:-1])
+        target = 1 << qubits[-1]
+        flipped = {(k ^ target if (k & controls) == controls else k): a for k, a in amps.items()}
+        return SparseState(state.n, flipped)
+    # Z, CZ, CCZ: negate where every listed qubit is set.
+    mask = sum(1 << q for q in qubits)
+    return SparseState(state.n, {k: -a if (k & mask) == mask else a for k, a in amps.items()})
 
 
 def tensor(a: SparseState, b: SparseState) -> SparseState:
@@ -178,6 +169,22 @@ def superpose(terms: Sequence[tuple[complex, SparseState]]) -> SparseState:
     return SparseState(n, out).prune().normalize()
 
 
+def _gather(keys: Sequence[int], qubits: Sequence[int]) -> list[int]:
+    """Bit ``i`` of each result is the key's bit at ``qubits[i]``.
+
+    Each maximal run of consecutive qubits is read with one shift and mask,
+    so a contiguous register costs one shift and mask per key.
+    """
+    values = [0] * len(keys)
+    start = 0
+    for i in range(1, len(qubits) + 1):
+        if i == len(qubits) or qubits[i] != qubits[i - 1] + 1:
+            low, mask = qubits[start], (1 << (i - start)) - 1
+            values = [v | ((k >> low) & mask) << start for v, k in zip(values, keys)]
+            start = i
+    return values
+
+
 def drop_qubits(state: SparseState, qubits: Sequence[int]) -> SparseState:
     """Remove qubits whose value is constant across the support.
 
@@ -186,24 +193,11 @@ def drop_qubits(state: SparseState, qubits: Sequence[int]) -> SparseState:
     """
     _check_qubits(state, qubits)
     drop = set(qubits)
+    keys = list(state.amps)
+    if len(set(_gather(keys, sorted(drop)))) > 1:
+        raise ValueError("dropped qubits vary across the support")
     keep = [q for q in range(state.n) if q not in drop]
-    drop_mask = 0
-    for q in drop:
-        drop_mask |= 1 << q
-    fixed = None
-    out: dict[int, complex] = {}
-    for k, a in state.amps.items():
-        value = k & drop_mask
-        if fixed is None:
-            fixed = value
-        elif value != fixed:
-            raise ValueError("dropped qubits vary across the support")
-        new_key = 0
-        for i, q in enumerate(keep):
-            if (k >> q) & 1:
-                new_key |= 1 << i
-        out[new_key] = a
-    return SparseState(len(keep), out)
+    return SparseState(len(keep), dict(zip(_gather(keys, keep), state.amps.values())))
 
 
 def measure_z(
@@ -218,24 +212,7 @@ def measure_z(
     which must have probability above NORM_TOL.  Returns the outcome and
     the renormalized post-measurement state.
     """
-    outcome, collapsed = measure_register(state, (qubit,), rng=rng, force=force)
-    return outcome, collapsed
-
-
-def register_distribution(state: SparseState, qubits: Sequence[int]) -> dict[int, float]:
-    """Outcome probabilities for a joint Z measurement of ``qubits``.
-
-    Outcome bit ``i`` is the value of ``qubits[i]``.
-    """
-    _check_qubits(state, qubits)
-    probs: dict[int, float] = {}
-    for k, a in state.amps.items():
-        outcome = 0
-        for i, q in enumerate(qubits):
-            if (k >> q) & 1:
-                outcome |= 1 << i
-        probs[outcome] = probs.get(outcome, 0.0) + (a * a.conjugate()).real
-    return probs
+    return measure_register(state, (qubit,), rng=rng, force=force)
 
 
 def measure_register(
@@ -244,13 +221,18 @@ def measure_register(
     rng=None,
     force: Optional[int] = None,
 ) -> tuple[int, SparseState]:
-    """Jointly measure several qubits in the Z basis.
+    """Jointly measure several qubits in the Z basis; outcome bit ``i`` is
+    the value of ``qubits[i]``.
 
     Sampling walks the outcome distribution in sorted key order so a given
     rng stream always selects the same branch.  ``force`` selects a branch
     explicitly and raises if its probability is negligible.
     """
-    probs = register_distribution(state, qubits)
+    _check_qubits(state, qubits)
+    values = _gather(list(state.amps), qubits)
+    probs: dict[int, float] = {}
+    for value, a in zip(values, state.amps.values()):
+        probs[value] = probs.get(value, 0.0) + (a * a.conjugate()).real
     if force is not None:
         prob = probs.get(force, 0.0)
         if prob <= NORM_TOL:
@@ -268,14 +250,11 @@ def measure_register(
                 outcome = key
                 break
     scale = 1.0 / math.sqrt(probs[outcome])
-    out: dict[int, complex] = {}
-    for k, a in state.amps.items():
-        value = 0
-        for i, q in enumerate(qubits):
-            if (k >> q) & 1:
-                value |= 1 << i
-        if value == outcome:
-            out[k] = a * scale
+    out = {
+        k: a * scale
+        for (k, a), value in zip(state.amps.items(), values)
+        if value == outcome
+    }
     return outcome, SparseState(state.n, out)
 
 
@@ -317,7 +296,11 @@ class LogicalBasisLabel:
             return bits
         if isinstance(bits, int):
             bits = (bits,)
-        return cls(tuple(int(b) & 1 for b in bits), tuple(int(b) & 1 for b in gauge_bits))
+        bits, gauge_bits = tuple(int(b) for b in bits), tuple(int(b) for b in gauge_bits)
+        for b in bits + gauge_bits:
+            if b not in (0, 1):
+                raise ValueError(f"label bit {b} is not 0 or 1")
+        return cls(bits, gauge_bits)
 
 
 def prepare_logical(code: TriorthogonalCode, label: LabelLike) -> SparseState:

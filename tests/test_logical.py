@@ -450,3 +450,33 @@ class TestFaultToleranceSweep:
         residual = pauli_residual(out, ideal)
         assert residual is not None
         assert residual.sites == 7 > 2
+
+
+class TestCnotSiteFaults:
+    def _run(self, code, faults):
+        data = superpose(
+            [
+                (complex(1.0), prepare_logical(code, (0,))),
+                (complex(0.0, 2.0), prepare_logical(code, (1,))),
+            ]
+        )
+        return logical_hadamard(data, code, faults=faults, rng=random.Random(7))
+
+    def test_both_legs_equal_data_plus_ancilla(self, small8_code):
+        for q in range(small8_code.n):
+            both = self._run(small8_code, (FaultSpec("cnot_both", "X", q),))
+            legs = self._run(
+                small8_code,
+                (FaultSpec("cnot_data", "X", q), FaultSpec("cnot_ancilla", "X", q)),
+            )
+            assert list(both[0].amps.items()) == list(legs[0].amps.items())
+            assert both[1] == legs[1]
+
+    def test_repeated_fault_cancels(self, small8_code):
+        clean = self._run(small8_code, ())
+        for q in range(small8_code.n):
+            twice = self._run(
+                small8_code, (FaultSpec("cnot_data", "X", q), FaultSpec("cnot_data", "X", q))
+            )
+            assert list(twice[0].amps.items()) == list(clean[0].amps.items())
+            assert twice[1] == clean[1]

@@ -8,6 +8,7 @@ import pytest
 from triortho.codes import TriorthogonalMatrix, build_code
 from triortho.gf2 import BitMatrix, BitVector, enumerate_span, orthogonal_complement, span_contains
 from triortho.simulator import (
+    LogicalBasisLabel,
     SparseState,
     apply_gate,
     drop_qubits,
@@ -303,3 +304,107 @@ class TestStateHelpers:
     def test_basis_state_key_range(self):
         with pytest.raises(ValueError):
             SparseState.basis_state(2, 4)
+
+
+def _reference_register(key, qubits):
+    # Per-bit reference: outcome bit i is the key's bit at qubits[i].
+    value = 0
+    for i, q in enumerate(qubits):
+        value |= ((key >> q) & 1) << i
+    return value
+
+
+def _reference_probs(state, qubits):
+    probs = {}
+    for k, a in state.amps.items():
+        o = _reference_register(k, qubits)
+        probs[o] = probs.get(o, 0.0) + abs(a) ** 2
+    return probs
+
+
+def _five_qubit_state():
+    rng = random.Random(11)
+    terms = [
+        (complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)), SparseState.basis_state(5, k))
+        for k in range(32)
+    ]
+    return superpose(terms)
+
+
+class TestScatteredRegisters:
+    REGISTERS = ((3, 1), (0, 2, 4), (4, 3), (4, 0, 1), (1, 2, 3), (2,), ())
+
+    @pytest.mark.parametrize("qubits", REGISTERS)
+    def test_forced_branches_match_per_bit_reference(self, qubits):
+        state = _five_qubit_state()
+        probs = _reference_probs(state, qubits)
+        assert sorted(probs) == list(range(1 << len(qubits)))
+        for o, p in probs.items():
+            outcome, post = measure_register(state, qubits, force=o)
+            assert outcome == o
+            expected = [k for k in state.amps if _reference_register(k, qubits) == o]
+            assert list(post.amps) == expected
+            for k in expected:
+                assert abs(post.amps[k] - state.amps[k] / math.sqrt(p)) < 1e-12
+
+    @pytest.mark.parametrize("qubits", REGISTERS)
+    def test_sampled_outcome_walks_sorted_reference(self, qubits):
+        state = _five_qubit_state()
+        probs = _reference_probs(state, qubits)
+        for seed in range(20):
+            r = random.Random(seed).random()
+            acc, expected = 0.0, max(probs)
+            for o in sorted(probs):
+                acc += probs[o]
+                if r < acc:
+                    expected = o
+                    break
+            outcome, post = measure_register(state, qubits, rng=random.Random(seed))
+            assert outcome == expected
+            assert all(_reference_register(k, qubits) == outcome for k in post.amps)
+
+    def test_measure_z_matches_reference(self):
+        state = _five_qubit_state()
+        for q in range(5):
+            p1 = sum(abs(a) ** 2 for k, a in state.amps.items() if (k >> q) & 1)
+            outcome, post = measure_z(state, q, force=1)
+            assert outcome == 1
+            assert list(post.amps) == [k for k in state.amps if (k >> q) & 1]
+            assert abs(post.norm_sq() - 1.0) < 1e-12
+            for k, a in post.amps.items():
+                assert abs(a - state.amps[k] / math.sqrt(p1)) < 1e-12
+
+    def test_drop_middle_qubit(self):
+        state = _five_qubit_state()
+        _, post = measure_z(state, 2, force=1)
+        dropped = drop_qubits(post, (2,))
+        assert dropped.n == 4
+        keep = (0, 1, 3, 4)
+        assert list(dropped.amps) == [_reference_register(k, keep) for k in post.amps]
+        assert list(dropped.amps.values()) == list(post.amps.values())
+
+    def test_drop_scattered_out_of_order_register(self):
+        state = _five_qubit_state()
+        _, post = measure_register(state, (3, 1), force=0b10)
+        dropped = drop_qubits(post, (3, 1))
+        assert dropped.n == 3
+        assert list(dropped.amps) == [_reference_register(k, (0, 2, 4)) for k in post.amps]
+        assert list(dropped.amps.values()) == list(post.amps.values())
+        with pytest.raises(ValueError, match="vary"):
+            drop_qubits(post, (3, 0))
+
+
+class TestLabelBits:
+    @pytest.mark.parametrize("bits", [(2,), (-1,), (3,)])
+    def test_invalid_logical_bit_rejected(self, builtin_code, bits):
+        with pytest.raises(ValueError, match=f"label bit {bits[0]} "):
+            prepare_logical(builtin_code, bits)
+
+    def test_invalid_gauge_bit_rejected(self):
+        with pytest.raises(ValueError, match="label bit 2 "):
+            LogicalBasisLabel.of((1,), (0, 2))
+
+    def test_valid_bits_kept(self):
+        label = LogicalBasisLabel.of(1, (0, True))
+        assert label.bits == (1,)
+        assert label.gauge_bits == (0, 1)
