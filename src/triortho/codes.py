@@ -37,6 +37,8 @@ __all__ = [
     "search_triorthogonal",
 ]
 
+_DECODER_LIMIT = 20  # the decoder table holds at most 2**_DECODER_LIMIT syndromes
+
 
 def _check_orthogonality_ints(rows: list[int], level: int) -> Optional[tuple[int, ...]]:
     for j in range(2, level + 1):
@@ -175,12 +177,13 @@ class TriorthogonalCode:
         return _syndrome(self.g0_basis.row_values(), pattern)
 
     def decode_x(self, syndrome: int) -> Optional[BitVector]:
-        """Minimum-weight X pattern with the given syndrome, or None when
-        the lookup has no entry (weight beyond the enumerated radius)."""
+        """Minimum-weight X pattern with the given syndrome, or None for a
+        syndrome outside ``range(2**r)``.  The table is built on the first call;
+        codes with more than 2**20 syndromes raise ValueError."""
+        if not self._decoder:
+            self._decoder = _build_decoder(self.g0_basis.row_values(), self.n)
         pattern = self._decoder.get(syndrome)
-        if pattern is None:
-            return None
-        return BitVector(pattern, self.n)
+        return None if pattern is None else BitVector(pattern, self.n)
 
 
 def _syndrome(rows: list[int], pattern: int) -> int:
@@ -192,32 +195,26 @@ def _syndrome(rows: list[int], pattern: int) -> int:
 
 
 def _build_decoder(g0_rows: list[int], n: int) -> dict[int, int]:
-    """Map each reachable syndrome to a minimum-weight X pattern.
+    """Map every syndrome to a minimum-weight X pattern.
 
-    Patterns are enumerated by increasing weight, so the first pattern seen
-    for a syndrome is minimum weight.  Enumeration stops once every
-    syndrome of the full group is covered, or when the pattern count would
-    exceed the enumeration guard.
+    Breadth-first from syndrome 0, flipping one qubit per step in ascending
+    order, so the first pattern reaching a syndrome has minimum weight.  The
+    rows are independent, so all ``2**len(g0_rows)`` syndromes are reached.
     """
-    target = 1 << len(g0_rows)
-    table: dict[int, int] = {0: 0}
-    budget = 1 << ENUMERATION_GUARD
-    seen = 1
-    for w in range(1, n + 1):
-        if len(table) == target or seen >= budget:
-            break
-        for combo in itertools.combinations(range(n), w):
-            seen += 1
-            pattern = 0
-            for i in combo:
-                pattern |= 1 << i
-            syndrome = _syndrome(g0_rows, pattern)
-            if syndrome not in table:
-                table[syndrome] = pattern
-                if len(table) == target:
-                    break
-            if seen >= budget:
-                break
+    if len(g0_rows) > _DECODER_LIMIT:
+        raise ValueError(
+            f"decoder table needs 2**{len(g0_rows)} syndromes, above the limit "
+            f"2**{_DECODER_LIMIT}"
+        )
+    columns = [_syndrome(g0_rows, 1 << q) for q in range(n)]
+    table = {0: 0}
+    queue = [0]
+    for syndrome in queue:
+        pattern = table[syndrome]
+        for q, column in enumerate(columns):
+            if syndrome ^ column not in table:
+                table[syndrome ^ column] = pattern ^ 1 << q
+                queue.append(syndrome ^ column)
     return table
 
 
@@ -308,7 +305,6 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
         logical_z=logicals,
         gauge_pairs=gauge_pairs,
         g0_basis=g0_basis,
-        _decoder=_build_decoder(g0_reduced, n),
     )
     return code
 

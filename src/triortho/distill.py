@@ -275,13 +275,15 @@ def monte_carlo(
         t = min(MC_CHUNK, trials - done)
         faulty = rng.random((t, n)) < model.p
         draws = rng.random((t, n))
-        classes = np.minimum(
-            np.searchsorted(cumulative, draws, side="right"), NUM_CLASSES - 1
-        ).astype(np.uint8) + 1
+        # Class 0 marks a site that did not fail; only failed sites get a class.
+        classes = np.zeros((t, n), dtype=np.uint8)
+        classes[faulty] = np.minimum(
+            np.searchsorted(cumulative, draws[faulty], side="right"), NUM_CLASSES - 1
+        ) + 1
         ok = np.ones(t, dtype=bool)
         bad = np.zeros(t, dtype=bool)
         for b in range(3):
-            hit = (faulty & (((classes >> (2 - b)) & 1) == 1)).astype(np.uint8)
+            hit = (classes >> (2 - b)) & 1
             if even.size:
                 syndrome = (hit @ even.T) & 1
                 ok &= ~syndrome.any(axis=1)

@@ -22,6 +22,7 @@ from .codes import TriorthogonalCode
 from .gf2 import BitVector, _enumerate_span_ints, _solve_ints
 from .simulator import (
     LabelLike,
+    LogicalBasisLabel,
     SparseState,
     apply_gate,
     drop_qubits,
@@ -115,42 +116,41 @@ class SteaneReport:
         }
 
 
+def _apply_pauli(state: SparseState, x: int, z: int) -> SparseState:
+    # X on the bits of ``x`` after Z on the bits of ``z``, in one pass.
+    if not x and not z:
+        return state
+    return SparseState(
+        state.n,
+        {k ^ x: -a if (k & z).bit_count() & 1 else a for k, a in state.amps.items()},
+    )
+
+
 def _steane_round(
     state: SparseState,
     code: TriorthogonalCode,
     faults: Sequence[FaultSpec],
     rng,
     force_outcomes: Optional[int],
-    with_hadamard: bool,
 ) -> tuple[SparseState, SteaneReport]:
+    # One correction round on the data block as it stands after any
+    # transversal H.  Faults fold into one X and one Z mask per location, a
+    # measurement FLIP counting as X; a data_pre_h Pauli enters as the
+    # swapped Pauli after the H (HX = ZH, HZ = XH).
     n = code.n
     if state.n != n:
         raise ValueError(f"state has {state.n} qubits, code has {n}")
-    by_location: dict[str, list[FaultSpec]] = {loc: [] for loc in FAULT_LOCATIONS}
+    x = dict.fromkeys(FAULT_LOCATIONS, 0)
+    z = dict.fromkeys(FAULT_LOCATIONS, 0)
     for f in faults:
         f.validate(n)
-        if f.location == "data_pre_h" and not with_hadamard:
-            raise ValueError("data_pre_h faults only exist in the Hadamard procedure")
-        by_location[f.location].append(f)
+        (z if f.pauli == "Z" else x)[f.location] ^= 1 << f.qubit
 
-    data = state
-    if with_hadamard:
-        for f in by_location["data_pre_h"]:
-            data = apply_gate(data, f.pauli, (f.qubit,))
-        for q in range(n):
-            data = apply_gate(data, "H", (q,))
-    for f in by_location["data_post_h"]:
-        data = apply_gate(data, f.pauli, (f.qubit,))
-
-    ancilla = prepare_plus_all(code)
-    for f in by_location["ancilla"]:
-        ancilla = apply_gate(ancilla, f.pauli, (f.qubit,))
-
-    flip = 0
-    for f in by_location["cnot_data"] + by_location["cnot_both"]:
-        flip ^= 1 << f.qubit
-    for f in by_location["cnot_ancilla"] + by_location["cnot_both"]:
-        flip ^= 1 << (n + f.qubit)
+    data = _apply_pauli(
+        state, x["data_post_h"] ^ z["data_pre_h"], z["data_post_h"] ^ x["data_pre_h"]
+    )
+    ancilla = _apply_pauli(prepare_plus_all(code), x["ancilla"], z["ancilla"])
+    flip = (x["cnot_data"] ^ x["cnot_both"]) | (x["cnot_ancilla"] ^ x["cnot_both"]) << n
     joint = tensor(data, ancilla)
     data_mask = (1 << n) - 1
     # Transversal CNOT, data controlling ancilla, then the X faults after
@@ -164,17 +164,12 @@ def _steane_round(
     )
     data = drop_qubits(collapsed, range(n, 2 * n))
 
-    recorded = outcome
-    for f in by_location["measurement"]:
-        recorded ^= 1 << f.qubit
-
+    recorded = outcome ^ x["measurement"]
     syndrome_int = code.x_syndrome_of(recorded)
     correction = code.decode_x(syndrome_int)
+    decode_success = correction is not None
     if correction is None:
-        decode_success = False
         correction = BitVector(0, n)
-    else:
-        decode_success = True
     corrected = recorded ^ correction.value
 
     gauge = tuple(
@@ -184,20 +179,18 @@ def _steane_round(
     for bit, pair in zip(gauge, code.gauge_pairs):
         if bit:
             total ^= pair.x_part.value
-    if total:
-        data = SparseState(n, {k ^ total: a for k, a in data.amps.items()})
+    data = _apply_pauli(data, total, 0)
 
     syndrome_bits = tuple(
         (syndrome_int >> j) & 1 for j in range(code.g0_basis.row_count)
     )
-    report = SteaneReport(
+    return data, SteaneReport(
         raw_outcomes=BitVector(recorded, n),
         x_syndrome=syndrome_bits,
         gauge_parities=gauge,
         applied_correction=correction,
         decode_success=decode_success,
     )
-    return data, report
 
 
 def logical_hadamard(
@@ -215,7 +208,11 @@ def logical_hadamard(
     equals the logical Hadamard image of the input on every measurement
     branch.
     """
-    return _steane_round(state, code, faults, rng, force_outcomes, with_hadamard=True)
+    if state.n != code.n:
+        raise ValueError(f"state has {state.n} qubits, code has {code.n}")
+    for q in range(code.n):
+        state = apply_gate(state, "H", (q,))
+    return _steane_round(state, code, faults, rng, force_outcomes)
 
 
 def steane_x_correct(
@@ -227,7 +224,9 @@ def steane_x_correct(
 ) -> tuple[SparseState, SteaneReport]:
     """One X-error correction round: the Hadamard procedure without the
     initial transversal H.  Logical amplitudes are untouched."""
-    return _steane_round(state, code, faults, rng, force_outcomes, with_hadamard=False)
+    if any(f.location == "data_pre_h" for f in faults):
+        raise ValueError("data_pre_h faults only exist in the Hadamard procedure")
+    return _steane_round(state, code, faults, rng, force_outcomes)
 
 
 def toffoli_resource_state() -> SparseState:
@@ -456,9 +455,11 @@ def fault_tolerance_sweep(
     if input_label is None:
         data, ideal = _generic_logical_state(code)
     else:
-        label = tuple(input_label)
+        label = LogicalBasisLabel.of(input_label)
         data = prepare_logical(code, label)
-        ideal = _hadamard_image(code, label)
+        ideal = _hadamard_image(code, label.bits)
+    for q in range(code.n):
+        data = apply_gate(data, "H", (q,))
     rng = random.Random(seed)
     universe = _fault_universe(code.n)
     counterexamples = []
@@ -466,7 +467,7 @@ def fault_tolerance_sweep(
     for w in range(1, weight_limit + 1):
         for combo in itertools.combinations(universe, w):
             cases += 1
-            output, _report = logical_hadamard(data, code, faults=combo, rng=rng)
+            output, _report = _steane_round(data, code, combo, rng, None)
             residual = pauli_residual(output, ideal)
             if residual is None:
                 counterexamples.append(SweepCounterexample(tuple(combo), None))

@@ -381,6 +381,8 @@ def transversal_multi_cz_phase_check(
         raise ValueError("phase check enumeration exceeds the guard")
 
     labs = [LogicalBasisLabel.of(lab) for lab in labels]
+    # Preparing the cosets first rejects a label of the wrong length.
+    cosets = [list(prepare_logical(code, lab.bits).amps) for lab in labs]
     expected_parity = 0
     for i in range(code.k):
         product = 1
@@ -389,7 +391,6 @@ def transversal_multi_cz_phase_check(
         expected_parity ^= product
     expected = -1 if expected_parity else 1
 
-    cosets = [list(prepare_logical(code, lab.bits).amps) for lab in labs]
     first: Optional[int] = None
     terms = 0
 

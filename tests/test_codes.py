@@ -229,3 +229,38 @@ class TestSearch:
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError):
             search_triorthogonal(n=5, k=0, m_even=0, budget=10, seed=0)
+
+
+def _direct_sum(rows, copies):
+    width = len(rows[0])
+    strings = [
+        "0" * width * c + row + "0" * width * (copies - 1 - c)
+        for c in range(copies)
+        for row in rows
+    ]
+    return TriorthogonalMatrix.from_matrix(BitMatrix.from_strings(strings), level=3)
+
+
+class TestDecoder:
+    def test_entries_have_brute_force_minimum_weight(
+        self, builtin_code, d2_code, small10_code, small8_code
+    ):
+        for code in (builtin_code, d2_code, small10_code, small8_code):
+            r = code.g0_basis.row_count
+            best = {}
+            for pattern in range(1 << code.n):
+                s = code.x_syndrome_of(pattern)
+                best[s] = min(best.get(s, code.n), pattern.bit_count())
+            assert len(best) == 1 << r
+            for s in range(1 << r):
+                pattern = code.decode_x(s)
+                assert code.x_syndrome_of(pattern.value) == s
+                assert pattern.weight == best[s]
+            assert len(code._decoder) == 1 << r
+            assert code.decode_x(1 << r) is None
+
+    def test_table_above_limit_fails_loudly_on_first_decode(self):
+        code = build_code(_direct_sum(D2_ROWS, 7))
+        assert (code.n, code.g0_basis.row_count) == (98, 21)
+        with pytest.raises(ValueError, match=r"2\*\*21 syndromes, above the limit 2\*\*20"):
+            code.decode_x(0)

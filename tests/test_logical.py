@@ -7,6 +7,10 @@ import pytest
 
 from triortho.logical import (
     FaultSpec,
+    SweepCounterexample,
+    SweepReport,
+    _fault_universe,
+    _generic_logical_state,
     ccz_via_toffoli_state,
     fault_tolerance_sweep,
     gauge_parities_of_state,
@@ -16,6 +20,7 @@ from triortho.logical import (
     toffoli_resource_state,
 )
 from triortho.simulator import (
+    LogicalBasisLabel,
     SparseState,
     apply_gate,
     prepare_logical,
@@ -480,3 +485,43 @@ class TestCnotSiteFaults:
             )
             assert list(twice[0].amps.items()) == list(clean[0].amps.items())
             assert twice[1] == clean[1]
+
+
+class TestPreHFaultsAfterH:
+    # HX = ZH and HZ = XH: a Pauli before the transversal H is the swapped
+    # Pauli after it, on every branch and in every report.
+    def test_pre_h_equals_swapped_post_h(self, small8_code):
+        data, _ = _generic_logical_state(small8_code)
+        for q in range(small8_code.n):
+            for pre, post in (("X", "Z"), ("Z", "X")):
+                a = logical_hadamard(
+                    data, small8_code, faults=(FaultSpec("data_pre_h", pre, q),),
+                    rng=random.Random(q),
+                )
+                b = logical_hadamard(
+                    data, small8_code, faults=(FaultSpec("data_post_h", post, q),),
+                    rng=random.Random(q),
+                )
+                assert sorted(a[0].amps.items()) == sorted(b[0].amps.items())
+                assert a[1] == b[1]
+
+
+class TestSweepAgainstRounds:
+    def test_sweep_equals_case_by_case_hadamard(self, small8_code):
+        data, ideal = _generic_logical_state(small8_code)
+        rng = random.Random(4)
+        counterexamples = []
+        universe = _fault_universe(small8_code.n)
+        for fault in universe:
+            out, _ = logical_hadamard(data, small8_code, faults=(fault,), rng=rng)
+            residual = pauli_residual(out, ideal)
+            if residual is None or residual.sites > 1:
+                sites = None if residual is None else residual.sites
+                counterexamples.append(SweepCounterexample((fault,), sites))
+        expected = SweepReport(1, len(universe), tuple(counterexamples))
+        assert fault_tolerance_sweep(small8_code, 1, seed=4) == expected
+
+    @pytest.mark.parametrize("label", [1, LogicalBasisLabel.of((1,))])
+    def test_every_label_form_accepted(self, small8_code, label):
+        expected = fault_tolerance_sweep(small8_code, 1, input_label=(1,), seed=2)
+        assert fault_tolerance_sweep(small8_code, 1, input_label=label, seed=2) == expected

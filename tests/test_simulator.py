@@ -203,6 +203,11 @@ class TestPhaseChecks:
         with pytest.raises(ValueError):
             transversal_multi_cz_phase_check(code, [(1,), (1,), (1,)])
 
+    @pytest.mark.parametrize("labels", [[(), (0,), (1,)], [(0, 1), (0,), (1,)]])
+    def test_wrong_label_length_rejected(self, builtin_code, labels):
+        with pytest.raises(ValueError, match="label has"):
+            transversal_ccz_phase_check(builtin_code, labels)
+
     def test_ccz_check_agrees_with_sparse_simulation(self, small8_code):
         # Three encoded blocks, one CCZ per site: the joint state must pick
         # up exactly the phase the coset check reports.
