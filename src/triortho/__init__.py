@@ -5,15 +5,10 @@ from .gf2 import (
     ENUMERATION_GUARD,
     BitMatrix,
     BitVector,
-    enumerate_span,
     format_matrix,
     orthogonal_complement,
     parse_matrix,
-    pointwise_product,
     read_matrix,
-    rref,
-    span_contains,
-    weight,
     write_matrix,
 )
 from .codes import (
@@ -33,7 +28,6 @@ from .simulator import (
     apply_gate,
     drop_qubits,
     measure_register,
-    measure_z,
     prepare_logical,
     prepare_plus_all,
     states_equal_up_to_global_phase,
@@ -60,8 +54,6 @@ from .distill import (
     DistillOutcome,
     ErrorModel,
     MonteCarloStats,
-    OutputErrorLabel,
-    decode_outputs,
     enumerate_order2,
     monte_carlo,
     propagate,

@@ -321,16 +321,11 @@ def cmd_distill(args: argparse.Namespace) -> int:
         source, model, trials=args.trials, seed=args.seed, collect_trials=bool(args.per_trial)
     )
     payload = {
+        **stats.to_json_dict(),
         "command": "distill",
-        "seed": args.seed,
-        "trials": args.trials,
         "n": source.n,
         "k": len(source.odd_rows),
         "p": model.p,
-        "accepted": stats.accepted,
-        "failures": stats.failures,
-        "acceptance_rate": stats.acceptance_rate,
-        "conditional_error_rate": stats.conditional_error_rate,
         "order2_coefficient": report.coefficient,
         "order2_pair_events": report.pair_events,
         "order2_identical_class_events": report.identical_class_events,

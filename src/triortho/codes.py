@@ -176,14 +176,21 @@ class TriorthogonalCode:
         X-stabilizer basis row j."""
         return _syndrome(self.g0_basis.row_values(), pattern)
 
-    def decode_x(self, syndrome: int) -> Optional[BitVector]:
-        """Minimum-weight X pattern with the given syndrome, or None for a
-        syndrome outside ``range(2**r)``.  The table is built on the first call;
-        codes with more than 2**20 syndromes raise ValueError."""
+    def decode_x(self, syndrome: int) -> BitVector:
+        """Minimum-weight X pattern with the given syndrome.
+
+        The table covers every syndrome in ``range(2**r)``, r the number of
+        X-stabilizer rows, and is built on the first call; a syndrome outside
+        that range, or a code with more than 2**20 syndromes, raises
+        ValueError."""
         if not self._decoder:
             self._decoder = _build_decoder(self.g0_basis.row_values(), self.n)
         pattern = self._decoder.get(syndrome)
-        return None if pattern is None else BitVector(pattern, self.n)
+        if pattern is None:
+            raise ValueError(
+                f"syndrome {syndrome} outside range(2**{self.g0_basis.row_count})"
+            )
+        return BitVector(pattern, self.n)
 
 
 def _syndrome(rows: list[int], pattern: int) -> int:
@@ -324,7 +331,10 @@ def distances(code: TriorthogonalCode) -> tuple[int, int]:
     odd = [v.value for v in code.logical_x]
 
     if len(g0) + len(odd) > ENUMERATION_GUARD:
-        raise ValueError("row space too large to enumerate")
+        raise ValueError(
+            f"row space of rank {len(g0) + len(odd)} exceeds enumeration guard "
+            f"2**{ENUMERATION_GUARD}"
+        )
     d_x = n
     for shift in _enumerate_span_ints(odd):
         if shift == 0:
@@ -336,7 +346,10 @@ def distances(code: TriorthogonalCode) -> tuple[int, int]:
 
     g0_perp = orthogonal_complement(code.g0_basis).row_values()
     if len(g0_perp) > ENUMERATION_GUARD:
-        raise ValueError("stabilizer complement too large to enumerate")
+        raise ValueError(
+            f"stabilizer complement of rank {len(g0_perp)} exceeds enumeration guard "
+            f"2**{ENUMERATION_GUARD}"
+        )
     d_z = n
     for v in _enumerate_span_ints(g0_perp):
         if v == 0:

@@ -169,9 +169,6 @@ def default_menu(include_triorthogonal: bool = True) -> list[ProtocolSpec]:
 class CostQuery:
     """What to optimize: reach ``target_error`` per output Toffoli state
     starting from physical T states at ``physical_t_error``.
-
-    ``k_range`` restricts which parameterized menu entries participate;
-    entries without a k always do.
     """
 
     target_error: float
@@ -179,7 +176,6 @@ class CostQuery:
     menu: tuple[ProtocolSpec, ...]
     max_depth: int = 4
     required_final_family: Optional[str] = None
-    k_range: tuple[int, ...] = tuple(range(2, 101, 2))
 
     def __post_init__(self) -> None:
         if not 0.0 < self.physical_t_error < 1.0:
@@ -190,16 +186,6 @@ class CostQuery:
             raise ValueError("menu is empty")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if not self.k_range:
-            raise ValueError("k_range is empty")
-
-    def active_menu(self) -> tuple[ProtocolSpec, ...]:
-        allowed = set(self.k_range)
-        return tuple(
-            spec
-            for spec in self.menu
-            if spec.param_k is None or spec.param_k in allowed
-        )
 
 
 @dataclass(frozen=True)
@@ -262,9 +248,6 @@ def optimize_stack(query: CostQuery) -> CostResult:
     positive are discarded.  Raises InfeasibleTargetError when nothing
     within the depth bound reaches the target.
     """
-    menu = query.active_menu()
-    if not menu:
-        raise ValueError("k_range excludes every menu entry")
     start = _State(kind="T", error=query.physical_t_error, cost=1.0, levels=())
     frontier: dict[str, list[_State]] = {"T": [start]}
     fresh = [start]
@@ -274,7 +257,7 @@ def optimize_stack(query: CostQuery) -> CostResult:
     for _ in range(query.max_depth):
         expanded: list[_State] = []
         for st in fresh:
-            for spec in menu:
+            for spec in query.menu:
                 if spec.input_kind != st.kind:
                     continue
                 success = spec.success_prob(st.error)

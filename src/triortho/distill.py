@@ -23,7 +23,6 @@ from .codes import TriorthogonalMatrix
 
 __all__ = [
     "NUM_CLASSES",
-    "class_label",
     "ErrorModel",
     "DistillOutcome",
     "propagate",
@@ -32,20 +31,11 @@ __all__ = [
     "wilson_interval",
     "MonteCarloStats",
     "monte_carlo",
-    "OutputErrorLabel",
-    "decode_outputs",
 ]
 
 NUM_CLASSES = 7
 
 MC_CHUNK = 1 << 16
-
-
-def class_label(cls: int) -> str:
-    """Three-character block mask of an error class, block 1 leftmost."""
-    if not 1 <= cls <= NUM_CLASSES:
-        raise ValueError(f"class must be 1..7, got {cls}")
-    return f"{cls:03b}"
 
 
 def _class_hits_block(cls: int, block: int) -> bool:
@@ -116,11 +106,18 @@ def _block_patterns(n: int, injected: Sequence[tuple[int, int]]) -> list[int]:
     return patterns
 
 
+def _row_ints(source: TriorthogonalMatrix) -> tuple[list[int], list[int]]:
+    # The even (check) and odd (output) rows as ints.
+    odd = [v.value for v in source.odd_vectors()]
+    if not odd:
+        raise ValueError("matrix has no odd rows, so distillation has no outputs")
+    return source.even_matrix().row_values(), odd
+
+
 def propagate(source: TriorthogonalMatrix, injected: Sequence[tuple[int, int]]) -> DistillOutcome:
     """Propagate a set of (site, class) faults through one distillation run."""
+    even, odd = _row_ints(source)
     patterns = _block_patterns(source.n, injected)
-    even = source.even_matrix().row_values()
-    odd = [v.value for v in source.odd_vectors()]
     accepted = all(
         ((pattern & row).bit_count() & 1) == 0 for pattern in patterns for row in even
     )
@@ -154,8 +151,7 @@ def enumerate_order2(source: TriorthogonalMatrix, model: ErrorModel) -> Coeffici
     """Count every two-fault combination that is accepted yet flips a
     logical output, weighting each by its class probabilities."""
     n = source.n
-    even = source.even_matrix().row_values()
-    odd = [v.value for v in source.odd_vectors()]
+    even, odd = _row_ints(source)
     weights = model.class_weights
 
     singles: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
@@ -258,12 +254,10 @@ def monte_carlo(
         raise ValueError("trials must be nonnegative")
     n = source.n
     rng = np.random.default_rng(seed)
-    even = np.array(
-        [[row.bit(i) for i in range(n)] for row in source.even_matrix().rows],
-        dtype=np.uint8,
-    )
-    odd = np.array(
-        [[v.bit(i) for i in range(n)] for v in source.odd_vectors()], dtype=np.uint8
+    # Shape (rows, n); with no even rows (0, n), which accepts every trial.
+    even, odd = (
+        np.array([[(r >> i) & 1 for i in range(n)] for r in rows], dtype=np.uint8).reshape(-1, n)
+        for rows in _row_ints(source)
     )
     cumulative = np.cumsum(np.asarray(model.class_weights, dtype=np.float64))
 
@@ -284,9 +278,8 @@ def monte_carlo(
         bad = np.zeros(t, dtype=bool)
         for b in range(3):
             hit = (classes >> (2 - b)) & 1
-            if even.size:
-                syndrome = (hit @ even.T) & 1
-                ok &= ~syndrome.any(axis=1)
+            syndrome = (hit @ even.T) & 1
+            ok &= ~syndrome.any(axis=1)
             logical = (hit @ odd.T) & 1
             bad |= logical.any(axis=1)
         fail = ok & bad
@@ -303,35 +296,3 @@ def monte_carlo(
         failures=failure_total,
         trial_flags=flags,
     )
-
-
-@dataclass(frozen=True)
-class OutputErrorLabel:
-    """Residual error on one distilled Toffoli output triple.
-
-    Z flips on the two control blocks stay Z; the target block's Z flip is
-    relabeled X by the final Hadamard on targets."""
-
-    control1_z: bool
-    control2_z: bool
-    target_x: bool
-
-    @property
-    def clean(self) -> bool:
-        return not (self.control1_z or self.control2_z or self.target_x)
-
-
-def decode_outputs(outcome: DistillOutcome, source: TriorthogonalMatrix) -> list[OutputErrorLabel]:
-    """Per-output error labels of an accepted run."""
-    if not outcome.accepted:
-        raise ValueError("cannot decode a rejected outcome")
-    k = len(source.odd_rows)
-    blocks = outcome.logical_error
-    return [
-        OutputErrorLabel(
-            control1_z=bool(blocks[0][j]),
-            control2_z=bool(blocks[1][j]),
-            target_x=bool(blocks[2][j]),
-        )
-        for j in range(k)
-    ]

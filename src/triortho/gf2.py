@@ -5,8 +5,8 @@ with bit ``i`` holding coordinate ``i``.  The text form of a vector is a
 string of ``0``/``1`` characters whose leftmost character is coordinate 0,
 so ``BitVector.from_string("0110").value == 0b0110 == 6``.
 
-All operations that combine two vectors are length checked.  Enumeration
-helpers refuse spans larger than ``2**ENUMERATION_GUARD`` elements.
+All operations that combine two vectors are length checked.  Callers that
+enumerate a span refuse ranks above ``ENUMERATION_GUARD``.
 
 Two private kernels on raw integer rows do every elimination in the
 package: ``_rref_ints`` gives the canonical basis of a row space, and
@@ -18,20 +18,13 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "ENUMERATION_GUARD",
     "BitVector",
     "BitMatrix",
-    "weight",
-    "pointwise_product",
-    "RrefResult",
-    "rref",
     "orthogonal_complement",
-    "span_contains",
-    "enumerate_span",
     "parse_matrix",
     "format_matrix",
     "read_matrix",
@@ -185,16 +178,6 @@ class BitMatrix:
         return f"BitMatrix({[r.to_string() for r in self.rows]!r})"
 
 
-def weight(v: BitVector) -> int:
-    """Hamming weight of ``v``."""
-    return v.weight
-
-
-def pointwise_product(u: BitVector, v: BitVector) -> BitVector:
-    """Coordinatewise product, the AND of the two vectors."""
-    return u & v
-
-
 def _rref_ints(rows: list[int], n: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form on raw integer rows.
 
@@ -262,24 +245,6 @@ def _solve_ints(masks: list[int], rhs: list[int], n: int) -> Optional[tuple[int,
     return particular, kernel
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: BitMatrix
-    rank: int
-    pivot_columns: tuple[int, ...]
-
-
-def rref(matrix: BitMatrix) -> RrefResult:
-    """Reduced row echelon form with zero rows dropped.
-
-    The result's rows are ordered by pivot column, each pivot column is zero
-    in every other row, and the row space equals that of the input.  This is
-    the canonical basis used throughout the package.
-    """
-    out, pivots = _rref_ints(matrix.row_values(), matrix.n)
-    return RrefResult(BitMatrix.from_ints(out, matrix.n), len(out), tuple(pivots))
-
-
 def orthogonal_complement(matrix: BitMatrix) -> BitMatrix:
     """Canonical basis of the space of vectors orthogonal to every row.
 
@@ -292,18 +257,6 @@ def orthogonal_complement(matrix: BitMatrix) -> BitMatrix:
     return BitMatrix.from_ints(canonical, matrix.n)
 
 
-def span_contains(matrix: BitMatrix, v: BitVector) -> bool:
-    """Whether ``v`` lies in the row space of ``matrix``."""
-    if v.n != matrix.n:
-        raise ValueError(f"length mismatch: {v.n} != {matrix.n}")
-    reduced, pivots = _rref_ints(matrix.row_values(), matrix.n)
-    residue = v.value
-    for row, p in zip(reduced, pivots):
-        if (residue >> p) & 1:
-            residue ^= row
-    return residue == 0
-
-
 def _enumerate_span_ints(basis: list[int], shift: int = 0) -> Iterator[int]:
     """Yield every element of shift + span(basis) exactly once, Gray ordered.
 
@@ -314,26 +267,6 @@ def _enumerate_span_ints(basis: list[int], shift: int = 0) -> Iterator[int]:
     for i in range(1, 1 << len(basis)):
         current ^= basis[(i & -i).bit_length() - 1]
         yield current
-
-
-def enumerate_span(matrix: BitMatrix, shift: Optional[BitVector] = None) -> Iterator[BitVector]:
-    """Iterate over the coset ``shift + rowspace(matrix)``, each element once.
-
-    Refuses spans of rank above ENUMERATION_GUARD.
-    """
-    reduced, _ = _rref_ints(matrix.row_values(), matrix.n)
-    if len(reduced) > ENUMERATION_GUARD:
-        raise ValueError(
-            f"span of rank {len(reduced)} exceeds enumeration guard 2**{ENUMERATION_GUARD}"
-        )
-    start = 0
-    if shift is not None:
-        if shift.n != matrix.n:
-            raise ValueError(f"length mismatch: {shift.n} != {matrix.n}")
-        start = shift.value
-    n = matrix.n
-    for value in _enumerate_span_ints(reduced, start):
-        yield BitVector(value, n)
 
 
 def parse_matrix(text: str) -> BitMatrix:

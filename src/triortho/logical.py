@@ -98,6 +98,8 @@ class SteaneReport:
     ``applied_correction`` is the minimum-weight X pattern consistent with
     ``x_syndrome``; when gauge parities are nonzero the corresponding gauge
     X supports are applied to the data in addition to it.
+    ``decode_success`` is always true, since the decoder table covers every
+    syndrome; the field stays for the report format.
     """
 
     raw_outcomes: BitVector
@@ -167,9 +169,6 @@ def _steane_round(
     recorded = outcome ^ x["measurement"]
     syndrome_int = code.x_syndrome_of(recorded)
     correction = code.decode_x(syndrome_int)
-    decode_success = correction is not None
-    if correction is None:
-        correction = BitVector(0, n)
     corrected = recorded ^ correction.value
 
     gauge = tuple(
@@ -189,7 +188,7 @@ def _steane_round(
         x_syndrome=syndrome_bits,
         gauge_parities=gauge,
         applied_correction=correction,
-        decode_success=decode_success,
+        decode_success=True,
     )
 
 
@@ -339,7 +338,10 @@ def pauli_residual(
                 continue
             t0, null_basis = solved
             if len(null_basis) > 20:
-                raise ValueError("residual null space too large to enumerate")
+                raise ValueError(
+                    f"residual null space of rank {len(null_basis)} exceeds "
+                    "enumeration guard 2**20"
+                )
             for t in _enumerate_span_ints(null_basis, t0):
                 sites = (r | t).bit_count()
                 if best is None or sites <= best[0] and (sites, r, t) < best:
@@ -452,6 +454,8 @@ def fault_tolerance_sweep(
     eigenoperators.  Single faults must always pass for a distance-3 code;
     at weight two, counterexamples are reported rather than asserted away.
     """
+    if weight_limit < 1:
+        raise ValueError(f"weight_limit must be at least 1, got {weight_limit}")
     if input_label is None:
         data, ideal = _generic_logical_state(code)
     else:

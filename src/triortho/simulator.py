@@ -29,7 +29,6 @@ __all__ = [
     "tensor",
     "superpose",
     "drop_qubits",
-    "measure_z",
     "measure_register",
     "states_equal_up_to_global_phase",
     "LogicalBasisLabel",
@@ -88,15 +87,6 @@ class SparseState:
 
     def support_size(self) -> int:
         return len(self.amps)
-
-    def to_csv_lines(self) -> list[str]:
-        """Debug dump, one ``bitstring,re,im`` line per basis key."""
-        lines = []
-        for k in sorted(self.amps):
-            bits = "".join("1" if (k >> i) & 1 else "0" for i in range(self.n))
-            a = self.amps[k]
-            lines.append(f"{bits},{a.real!r},{a.imag!r}")
-        return lines
 
     def __repr__(self) -> str:
         return f"SparseState(n={self.n}, support={len(self.amps)})"
@@ -198,21 +188,6 @@ def drop_qubits(state: SparseState, qubits: Sequence[int]) -> SparseState:
         raise ValueError("dropped qubits vary across the support")
     keep = [q for q in range(state.n) if q not in drop]
     return SparseState(len(keep), dict(zip(_gather(keys, keep), state.amps.values())))
-
-
-def measure_z(
-    state: SparseState,
-    qubit: int,
-    rng=None,
-    force: Optional[int] = None,
-) -> tuple[int, SparseState]:
-    """Measure one qubit in the Z basis.
-
-    The outcome is sampled from ``rng`` unless ``force`` picks a branch,
-    which must have probability above NORM_TOL.  Returns the outcome and
-    the renormalized post-measurement state.
-    """
-    return measure_register(state, (qubit,), rng=rng, force=force)
 
 
 def measure_register(
@@ -378,7 +353,9 @@ def transversal_multi_cz_phase_check(
         raise ValueError(f"code has level {code.source.level}, below h={h}")
     rank0 = code.g0_basis.row_count
     if h * rank0 > ENUMERATION_GUARD:
-        raise ValueError("phase check enumeration exceeds the guard")
+        raise ValueError(
+            f"phase check of rank {h * rank0} exceeds enumeration guard 2**{ENUMERATION_GUARD}"
+        )
 
     labs = [LogicalBasisLabel.of(lab) for lab in labels]
     # Preparing the cosets first rejects a label of the wrong length.

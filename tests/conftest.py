@@ -48,6 +48,17 @@ def matrix_from_rows(rows) -> TriorthogonalMatrix:
     return TriorthogonalMatrix.from_matrix(BitMatrix.from_strings(rows))
 
 
+def direct_sum(rows, copies) -> TriorthogonalMatrix:
+    """Block-diagonal copies of a matrix, verified at level 3."""
+    width = len(rows[0])
+    strings = [
+        "0" * width * c + row + "0" * width * (copies - 1 - c)
+        for c in range(copies)
+        for row in rows
+    ]
+    return TriorthogonalMatrix.from_matrix(BitMatrix.from_strings(strings), level=3)
+
+
 @pytest.fixture(scope="session")
 def builtin_matrix():
     return builtin_15_1_3()

@@ -321,6 +321,17 @@ class TestDistill:
         assert err.startswith("error:")
 
 
+    def test_matrix_without_odd_rows(self, capsys, tmp_path, model_file):
+        even_only = tmp_path / "even.txt"
+        even_only.write_text("1111\n0011\n")
+        code, out, err = run(
+            capsys, ["distill", "--file", str(even_only), "--model", model_file]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: matrix has no odd rows, so distillation has no outputs\n"
+
+
 class TestCostCurve:
     def test_stdout_csv(self, capsys):
         code, out, _ = run(capsys, ["cost-curve", "--targets", "1e-13"])

@@ -10,13 +10,17 @@ from triortho.codes import (
     distances,
     search_triorthogonal,
 )
-from triortho.gf2 import BitMatrix, BitVector, pointwise_product, span_contains, weight
+from triortho.gf2 import BitMatrix, BitVector
 
-from conftest import D2_ROWS, D2_SEARCH, SMALL8_ROWS, SMALL8_SEARCH, SMALL10_ROWS, SMALL10_SEARCH
-
-
-def parity(u: BitVector, v: BitVector) -> int:
-    return weight(pointwise_product(u, v)) % 2
+from conftest import (
+    D2_ROWS,
+    D2_SEARCH,
+    SMALL8_ROWS,
+    SMALL8_SEARCH,
+    SMALL10_ROWS,
+    SMALL10_SEARCH,
+    direct_sum,
+)
 
 
 class TestCheckOrthogonality:
@@ -46,7 +50,7 @@ class TestCheckOrthogonality:
 
 class TestBuiltinMatrix:
     def test_row_weights(self, builtin_matrix):
-        weights = tuple(weight(r) for r in builtin_matrix.matrix.rows)
+        weights = tuple(r.weight for r in builtin_matrix.matrix.rows)
         assert weights == (8, 8, 8, 8, 15)
 
     def test_rank(self, builtin_matrix):
@@ -102,31 +106,32 @@ class TestBuildCode:
         for code in (builtin_code, d2_code, small10_code, small8_code):
             for x in code.x_stabilizers.rows:
                 for z in code.z_stabilizers.rows:
-                    assert parity(x, z) == 0
+                    assert x.dot(z) == 0
             for i, lx in enumerate(code.logical_x):
                 for j, lz in enumerate(code.logical_z):
-                    assert parity(lx, lz) == (1 if i == j else 0)
+                    assert lx.dot(lz) == (1 if i == j else 0)
                 for z in code.z_stabilizers.rows:
-                    assert parity(lx, z) == 0
+                    assert lx.dot(z) == 0
                 for x in code.x_stabilizers.rows:
-                    assert parity(code.logical_z[i], x) == 0
+                    assert code.logical_z[i].dot(x) == 0
 
     def test_gauge_pair_symplectic_structure(self, builtin_code, d2_code):
         for code in (builtin_code, d2_code):
             pairs = code.gauge_pairs
             for i, a in enumerate(pairs):
                 for j, b in enumerate(pairs):
-                    assert parity(a.x_part, b.z_part) == (1 if i == j else 0)
+                    assert a.x_part.dot(b.z_part) == (1 if i == j else 0)
                 for lx in code.logical_x:
-                    assert parity(lx, a.z_part) == 0
-                    assert parity(a.x_part, lx) == 0
+                    assert lx.dot(a.z_part) == 0
+                    assert a.x_part.dot(lx) == 0
                 for x in code.x_stabilizers.rows:
-                    assert parity(x, a.z_part) == 0
+                    assert x.dot(a.z_part) == 0
 
     def test_g0_inside_complement(self, builtin_code, d2_code, small10_code):
         for code in (builtin_code, d2_code, small10_code):
             for g in code.g0_basis.rows:
-                assert span_contains(code.z_stabilizers, g)
+                rows = code.z_stabilizers.rows + (g,)
+                assert BitMatrix(rows, code.n).rank == code.z_stabilizers.rank
 
     def test_gauge_z_parts_complete_the_complement(self, builtin_code, d2_code):
         # g0 plus the gauge z parts together span the full complement.
@@ -137,7 +142,7 @@ class TestBuildCode:
             )
             assert combined.rank == code.z_stabilizers.rank
             for z in code.z_stabilizers.rows:
-                assert span_contains(combined, z)
+                assert BitMatrix(combined.rows + (z,), code.n).rank == combined.rank
 
     def test_k2_search_hit_builds_cleanly(self):
         m = search_triorthogonal(n=12, k=2, m_even=2, budget=20000, seed=0)
@@ -146,7 +151,7 @@ class TestBuildCode:
         assert code.k == 2
         for i, lx in enumerate(code.logical_x):
             for j, lz in enumerate(code.logical_z):
-                assert parity(lx, lz) == (1 if i == j else 0)
+                assert lx.dot(lz) == (1 if i == j else 0)
 
 
 class TestDistances:
@@ -160,6 +165,15 @@ class TestDistances:
         assert distances(d2_code) == (7, 2)
         assert distances(small10_code) == (3, 1)
         assert distances(small8_code) == (1, 1)
+
+    def test_enumeration_guards_name_rank_and_limit(self):
+        # 7 copies of D2 (n=98): row space of rank 21 + 7.  3 copies (n=42):
+        # stabilizer complement of rank 42 - 9.
+        guard = r"exceeds enumeration guard 2\*\*25"
+        with pytest.raises(ValueError, match="row space of rank 28 " + guard):
+            distances(build_code(direct_sum(D2_ROWS, 7)))
+        with pytest.raises(ValueError, match="stabilizer complement of rank 33 " + guard):
+            distances(build_code(direct_sum(D2_ROWS, 3)))
 
     def test_column_permutation_preserves_parameters(self, builtin_matrix):
         base = build_code(builtin_matrix)
@@ -231,16 +245,6 @@ class TestSearch:
             search_triorthogonal(n=5, k=0, m_even=0, budget=10, seed=0)
 
 
-def _direct_sum(rows, copies):
-    width = len(rows[0])
-    strings = [
-        "0" * width * c + row + "0" * width * (copies - 1 - c)
-        for c in range(copies)
-        for row in rows
-    ]
-    return TriorthogonalMatrix.from_matrix(BitMatrix.from_strings(strings), level=3)
-
-
 class TestDecoder:
     def test_entries_have_brute_force_minimum_weight(
         self, builtin_code, d2_code, small10_code, small8_code
@@ -257,10 +261,12 @@ class TestDecoder:
                 assert code.x_syndrome_of(pattern.value) == s
                 assert pattern.weight == best[s]
             assert len(code._decoder) == 1 << r
-            assert code.decode_x(1 << r) is None
+            for outside in (1 << r, -1):
+                with pytest.raises(ValueError, match=rf"outside range\(2\*\*{r}\)"):
+                    code.decode_x(outside)
 
     def test_table_above_limit_fails_loudly_on_first_decode(self):
-        code = build_code(_direct_sum(D2_ROWS, 7))
+        code = build_code(direct_sum(D2_ROWS, 7))
         assert (code.n, code.g0_basis.row_count) == (98, 21)
         with pytest.raises(ValueError, match=r"2\*\*21 syndromes, above the limit 2\*\*20"):
             code.decode_x(0)

@@ -106,23 +106,9 @@ class TestCostQuery:
             CostQuery(target_error=1e-13, physical_t_error=1e-2, menu=())
         with pytest.raises(ValueError):
             CostQuery(target_error=1e-13, physical_t_error=1e-2, menu=menu, max_depth=0)
-        with pytest.raises(ValueError):
-            CostQuery(target_error=1e-13, physical_t_error=1e-2, menu=menu, k_range=())
 
     def test_boundary_target_equal_physical_allowed(self):
         CostQuery(target_error=1e-2, physical_t_error=1e-2, menu=(jones_toffoli(),))
-
-    def test_active_menu_filters_parameterized_entries(self):
-        query = CostQuery(
-            target_error=1e-13,
-            physical_t_error=1e-2,
-            menu=tuple(default_menu()),
-            k_range=(2, 4),
-        )
-        active = query.active_menu()
-        ks = {spec.param_k for spec in active}
-        assert ks == {None, 2, 4}
-        assert any(spec.name == "jones-toffoli" for spec in active)
 
 
 class TestOptimizer:
@@ -178,8 +164,9 @@ class TestOptimizer:
             CostQuery(
                 target_error=1e-13,
                 physical_t_error=1e-2,
-                menu=tuple(default_menu()),
-                k_range=tuple(range(2, 51, 2)),
+                menu=tuple(
+                    spec for spec in default_menu() if spec.param_k is None or spec.param_k <= 50
+                ),
             )
         )
         assert result.k_star == 50
@@ -245,7 +232,7 @@ class TestOptimizer:
         # Exhaustive stack enumeration is the oracle; the optimizer's
         # Pareto pruning must never change the answer.
         def brute_force(query):
-            menu = query.active_menu()
+            menu = query.menu
             best = None
             best_error = None
             for depth in range(1, query.max_depth + 1):

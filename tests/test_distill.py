@@ -9,7 +9,6 @@ import pytest
 from triortho.codes import TriorthogonalMatrix
 from triortho.distill import (
     ErrorModel,
-    decode_outputs,
     enumerate_order2,
     monte_carlo,
     propagate,
@@ -228,6 +227,23 @@ class TestMonteCarlo:
         assert data["acceptance_rate"] == stats.acceptance_rate
 
 
+class TestNoOddRows:
+    # Rows 1111 and 0011 are both even: checks but no outputs.
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda m: propagate(m, []),
+            lambda m: enumerate_order2(m, UNIFORM),
+            lambda m: monte_carlo(m, UNIFORM, trials=10, seed=0),
+        ],
+        ids=["propagate", "enumerate_order2", "monte_carlo"],
+    )
+    def test_every_entry_point_rejects(self, entry):
+        matrix = TriorthogonalMatrix.from_matrix(BitMatrix.from_strings(["1111", "0011"]))
+        with pytest.raises(ValueError, match="no odd rows, so distillation has no outputs"):
+            entry(matrix)
+
+
 class TestWilsonInterval:
     def test_degenerate_total(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
@@ -247,27 +263,19 @@ class TestWilsonInterval:
 
 
 class TestDecodeOutputs:
+    # logical_error[b][j] flips output j of block b: a Z on the two control
+    # blocks, an X on the target block after the final Hadamard.
     def test_clean_run(self, d2_matrix):
-        labels = decode_outputs(propagate(d2_matrix, []), d2_matrix)
-        assert len(labels) == 1
-        assert labels[0].clean
-
-    def test_rejected_run_raises(self, d2_matrix):
-        outcome = propagate(d2_matrix, [(3, 7)])
-        assert not outcome.accepted
-        with pytest.raises(ValueError):
-            decode_outputs(outcome, d2_matrix)
+        outcome = propagate(d2_matrix, [])
+        assert outcome.accepted
+        assert outcome.logical_error == ((0,), (0,), (0,))
 
     def test_harmful_pair_label(self, d2_matrix):
         # Class 1 touches only block 3; the block-3 residual surfaces as an
         # X on the output target after the final Hadamard.
         outcome = propagate(d2_matrix, [(0, 1), (3, 1)])
-        labels = decode_outputs(outcome, d2_matrix)
-        assert len(labels) == 1
-        assert not labels[0].control1_z
-        assert not labels[0].control2_z
-        assert labels[0].target_x
-        assert not labels[0].clean
+        assert outcome.accepted
+        assert outcome.logical_error == ((0,), (0,), (1,))
 
     def test_every_harmful_pair_matches_census_class(self, d2_matrix):
         # Cross-check the census against decoded labels: a pair of
@@ -281,10 +289,8 @@ class TestDecodeOutputs:
                     if not (outcome.accepted and outcome.any_logical_error):
                         continue
                     seen += 1
-                    label = decode_outputs(outcome, d2_matrix)[0]
-                    assert label.control1_z == bool((cls >> 2) & 1)
-                    assert label.control2_z == bool((cls >> 1) & 1)
-                    assert label.target_x == bool(cls & 1)
+                    blocks = tuple(((cls >> (2 - b)) & 1,) for b in range(3))
+                    assert outcome.logical_error == blocks
         assert seen == 49
 
 

@@ -11,6 +11,7 @@ from triortho.logical import (
     SweepReport,
     _fault_universe,
     _generic_logical_state,
+    _steane_round,
     ccz_via_toffoli_state,
     fault_tolerance_sweep,
     gauge_parities_of_state,
@@ -127,9 +128,10 @@ class TestLogicalHadamard:
         assert out_a.amps == out_b.amps
 
     def test_branch_independence(self, small8_code, small8_matrix):
-        from triortho.gf2 import enumerate_span
+        from triortho.gf2 import _enumerate_span_ints, _rref_ints
 
-        outcomes = [v.value for v in enumerate_span(small8_matrix.matrix)]
+        rows = small8_matrix.matrix.row_values()
+        outcomes = list(_enumerate_span_ints(_rref_ints(rows, small8_matrix.n)[0]))
         assert len(outcomes) == 16
         for label in ((0,), (1,)):
             data = prepare_logical(small8_code, label)
@@ -377,6 +379,34 @@ class TestPauliResidual:
         assert ties[0] == 4
 
 
+    def test_null_space_guard_names_rank_and_limit(self):
+        # One key on 21 qubits: every Z pattern is a solution.
+        state = SparseState.basis_state(21, 0)
+        with pytest.raises(
+            ValueError, match=r"null space of rank 21 exceeds enumeration guard 2\*\*20"
+        ):
+            pauli_residual(state, state)
+
+
+class TestSingleZFaults:
+    def test_every_single_z_fault_leaves_at_most_one_site(self, builtin_code):
+        # _fault_universe holds no Z faults, so the sweep never injects one;
+        # here every Z fault the round accepts runs once on the generic input.
+        data, ideal = _generic_logical_state(builtin_code)
+        for q in range(builtin_code.n):
+            data = apply_gate(data, "H", (q,))
+        rng = random.Random(0)
+        cases = 0
+        for location in ("data_pre_h", "data_post_h", "ancilla"):
+            for q in range(builtin_code.n):
+                fault = FaultSpec(location, "Z", q)
+                output, _ = _steane_round(data, builtin_code, (fault,), rng, None)
+                residual = pauli_residual(output, ideal)
+                assert residual is not None and residual.sites <= 1, fault
+                cases += 1
+        assert cases == 45
+
+
 class TestGaugeParities:
     def test_prepared_states_have_zero_parities(self, builtin_code, small8_code):
         assert gauge_parities_of_state(
@@ -406,10 +436,10 @@ class TestGaugeParities:
 
 
 class TestFaultToleranceSweep:
-    def test_weight_zero_is_trivial(self, small8_code):
-        report = fault_tolerance_sweep(small8_code, 0)
-        assert report.cases_run == 0
-        assert report.passed
+    def test_weight_below_one_rejected(self, small8_code):
+        for weight_limit in (0, -3):
+            with pytest.raises(ValueError, match=f"at least 1, got {weight_limit}"):
+                fault_tolerance_sweep(small8_code, weight_limit)
 
     def test_weight_one_small_code(self, small8_code):
         report = fault_tolerance_sweep(small8_code, 1)

@@ -6,14 +6,19 @@ import random
 import pytest
 
 from triortho.codes import TriorthogonalMatrix, build_code
-from triortho.gf2 import BitMatrix, BitVector, enumerate_span, orthogonal_complement, span_contains
+from triortho.gf2 import (
+    BitMatrix,
+    BitVector,
+    _enumerate_span_ints,
+    _rref_ints,
+    orthogonal_complement,
+)
 from triortho.simulator import (
     LogicalBasisLabel,
     SparseState,
     apply_gate,
     drop_qubits,
     measure_register,
-    measure_z,
     prepare_logical,
     prepare_plus_all,
     states_equal_up_to_global_phase,
@@ -23,6 +28,8 @@ from triortho.simulator import (
     transversal_multi_cz_phase_check,
 )
 
+from conftest import D2_ROWS, direct_sum
+
 
 class TestPrepareLogical:
     def test_builtin_zero_label_uniform_over_g0(self, builtin_code):
@@ -31,15 +38,13 @@ class TestPrepareLogical:
         for amp in state.amps.values():
             assert abs(amp - 0.25) < 1e-12
         assert abs(state.amplitude(0) - 0.25) < 1e-12
-        g0_values = set(v.value for v in enumerate_span(builtin_code.g0_basis))
+        g0_values = set(_enumerate_span_ints(builtin_code.g0_basis.row_values()))
         assert set(state.amps) == g0_values
 
     def test_builtin_one_label_supported_on_shifted_coset(self, builtin_code):
         state = prepare_logical(builtin_code, (1,))
         ones = builtin_code.logical_x[0].value
-        coset = set(
-            v.value ^ ones for v in enumerate_span(builtin_code.g0_basis)
-        )
+        coset = set(_enumerate_span_ints(builtin_code.g0_basis.row_values(), ones))
         assert set(state.amps) == coset
 
     def test_norm(self, builtin_code, small8_code):
@@ -117,7 +122,7 @@ class TestApplyGate:
 class TestMeasurement:
     def test_measure_zero_state(self):
         st = SparseState.basis_state(1, 0)
-        outcome, post = measure_z(st, 0, rng=random.Random(1))
+        outcome, post = measure_register(st, (0,), rng=random.Random(1))
         assert outcome == 0
         assert abs(post.amplitude(0) - 1.0) < 1e-12
 
@@ -128,7 +133,7 @@ class TestMeasurement:
                 (complex(1.0), SparseState.basis_state(2, 0b11)),
             ]
         )
-        outcome, post = measure_z(bell, 0, force=1)
+        outcome, post = measure_register(bell, (0,), force=1)
         assert outcome == 1
         assert set(post.amps) == {0b11}
         assert abs(post.amplitude(0b11) - 1.0) < 1e-12
@@ -136,7 +141,7 @@ class TestMeasurement:
     def test_forcing_impossible_outcome_raises(self):
         st = SparseState.basis_state(2, 0b00)
         with pytest.raises(ValueError):
-            measure_z(st, 0, force=1)
+            measure_register(st, (0,), force=1)
 
     def test_missing_rng_raises(self):
         bell = superpose(
@@ -146,7 +151,7 @@ class TestMeasurement:
             ]
         )
         with pytest.raises(ValueError):
-            measure_z(bell, 0)
+            measure_register(bell, (0,))
 
     def test_transversal_measurement_lands_in_g0(self, builtin_code):
         state = prepare_logical(builtin_code, (0,))
@@ -154,9 +159,9 @@ class TestMeasurement:
             outcome, _ = measure_register(
                 state, range(builtin_code.n), rng=random.Random(seed)
             )
-            assert span_contains(
-                builtin_code.g0_basis, BitVector(outcome, builtin_code.n)
-            )
+            g0 = builtin_code.g0_basis
+            rows = g0.rows + (BitVector(outcome, builtin_code.n),)
+            assert BitMatrix(rows, builtin_code.n).rank == g0.rank
 
     def test_register_outcome_reproducible(self):
         bell = superpose(
@@ -203,6 +208,15 @@ class TestPhaseChecks:
         with pytest.raises(ValueError):
             transversal_multi_cz_phase_check(code, [(1,), (1,), (1,)])
 
+    def test_enumeration_guards_name_rank_and_limit(self):
+        # 7 copies of D2 (n=98): even rows of rank 21, full row space of rank 28.
+        code = build_code(direct_sum(D2_ROWS, 7))
+        guard = r"exceeds enumeration guard 2\*\*25"
+        with pytest.raises(ValueError, match="coset of rank 28 " + guard):
+            prepare_plus_all(code)
+        with pytest.raises(ValueError, match="phase check of rank 42 " + guard):
+            transversal_multi_cz_phase_check(code, [(0,) * 7, (1,) * 7])
+
     @pytest.mark.parametrize("labels", [[(), (0,), (1,)], [(0, 1), (0,), (1,)]])
     def test_wrong_label_length_rejected(self, builtin_code, labels):
         with pytest.raises(ValueError, match="label has"):
@@ -244,14 +258,14 @@ class TestSupportBounds:
         dual = orthogonal_complement(builtin_code.g0_basis)
         assert state.support_size() == 2 ** (builtin_code.n - builtin_code.g0_basis.rank)
         assert state.support_size() == 2**dual.rank
-        dual_values = set(v.value for v in enumerate_span(dual))
+        dual_values = set(_enumerate_span_ints(dual.row_values()))
         assert set(state.amps) == dual_values
 
     def test_plus_all_uniform_over_full_row_space(self, builtin_code):
         state = prepare_plus_all(builtin_code)
         source = builtin_code.source.matrix
         assert state.support_size() == 2**source.rank
-        expected = set(v.value for v in enumerate_span(source))
+        expected = set(_enumerate_span_ints(_rref_ints(source.row_values(), source.n)[0]))
         assert set(state.amps) == expected
 
 
@@ -299,12 +313,6 @@ class TestStateHelpers:
         )
         assert abs(st.norm_sq() - 1.0) < 1e-12
         assert abs(abs(st.amplitude(0)) - 0.6) < 1e-12
-
-    def test_csv_dump_format(self):
-        st = apply_gate(SparseState.basis_state(2, 0), "H", (0,))
-        lines = st.to_csv_lines()
-        amp = repr(math.sqrt(0.5))
-        assert lines == [f"00,{amp},0.0", f"10,{amp},0.0"]
 
     def test_basis_state_key_range(self):
         with pytest.raises(ValueError):
@@ -372,7 +380,7 @@ class TestScatteredRegisters:
         state = _five_qubit_state()
         for q in range(5):
             p1 = sum(abs(a) ** 2 for k, a in state.amps.items() if (k >> q) & 1)
-            outcome, post = measure_z(state, q, force=1)
+            outcome, post = measure_register(state, (q,), force=1)
             assert outcome == 1
             assert list(post.amps) == [k for k in state.amps if (k >> q) & 1]
             assert abs(post.norm_sq() - 1.0) < 1e-12
@@ -381,7 +389,7 @@ class TestScatteredRegisters:
 
     def test_drop_middle_qubit(self):
         state = _five_qubit_state()
-        _, post = measure_z(state, 2, force=1)
+        _, post = measure_register(state, (2,), force=1)
         dropped = drop_qubits(post, (2,))
         assert dropped.n == 4
         keep = (0, 1, 3, 4)
