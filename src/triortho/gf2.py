@@ -11,7 +11,9 @@ enumerate a span refuse ranks above ``ENUMERATION_GUARD``.
 Two private kernels on raw integer rows do every elimination in the
 package: ``_rref_ints`` gives the canonical basis of a row space, and
 ``_solve_ints`` gives a particular solution plus a kernel basis of a linear
-system.  ``_enumerate_span_ints`` walks the span or coset they describe.
+system.  It reduces the system once with ``_eliminate_ints``, so that
+``_particular_ints`` can then solve it for many right-hand sides.
+``_enumerate_span_ints`` walks the span or coset they describe.
 """
 
 from __future__ import annotations
@@ -215,23 +217,38 @@ def _solve_ints(masks: list[int], rhs: list[int], n: int) -> Optional[tuple[int,
     solution is zero on every free column, and the kernel basis has one
     vector per free column, in ascending column order.
     """
-    echelon: list[tuple[int, int, int]] = []  # (pivot column, row, rhs)
-    for mask, bit in zip(masks, rhs):
-        for pivot, row, row_bit in echelon:
+    rows, checks, kernel = _eliminate_ints(masks, n)
+    particular = _particular_ints(rows, checks, sum(b << i for i, b in enumerate(rhs)))
+    return None if particular is None else (particular, kernel)
+
+
+def _eliminate_ints(
+    masks: list[int], n: int
+) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
+    """Reduce the system ``masks[i] . x = b_i`` once, for any right-hand side.
+
+    Returns (rows, checks, kernel): rows are (pivot, reduced mask,
+    combination), bit ``i`` of a combination marking ``masks[i]`` as a
+    term; checks are combinations that sum to zero, on which a consistent
+    ``b`` has even parity; ``kernel`` is as in ``_solve_ints``.
+    """
+    echelon: list[tuple[int, int, int]] = []
+    checks: list[int] = []
+    for i, mask in enumerate(masks):
+        combo = 1 << i
+        for pivot, row, row_combo in echelon:
             if (mask >> pivot) & 1:
                 mask ^= row
-                bit ^= row_bit
+                combo ^= row_combo
         if mask == 0:
-            if bit:
-                return None
+            checks.append(combo)
             continue
-        echelon.append((mask.bit_length() - 1, mask, bit))
+        echelon.append((mask.bit_length() - 1, mask, combo))
     # Back-substitution: clear every pivot from the other rows.
-    for i, (pivot, row, bit) in enumerate(echelon):
-        for j, (p, r, b) in enumerate(echelon):
+    for i, (pivot, row, combo) in enumerate(echelon):
+        for j, (p, r, c) in enumerate(echelon):
             if j != i and (r >> pivot) & 1:
-                echelon[j] = (p, r ^ row, b ^ bit)
-    particular = sum(bit << pivot for pivot, _, bit in echelon)
+                echelon[j] = (p, r ^ row, c ^ combo)
     pivots = {pivot for pivot, _, _ in echelon}
     kernel = []
     for col in range(n):
@@ -242,7 +259,17 @@ def _solve_ints(masks: list[int], rhs: list[int], n: int) -> Optional[tuple[int,
             if (row >> col) & 1:
                 vec |= 1 << pivot
         kernel.append(vec)
-    return particular, kernel
+    return echelon, checks, kernel
+
+
+def _particular_ints(
+    rows: list[tuple[int, int, int]], checks: list[int], rhs: int
+) -> Optional[int]:
+    """The particular solution of an ``_eliminate_ints`` system for the
+    right-hand side with bit ``i`` = ``b_i``, or None when inconsistent."""
+    if any((c & rhs).bit_count() & 1 for c in checks):
+        return None
+    return sum(((combo & rhs).bit_count() & 1) << pivot for pivot, _, combo in rows)
 
 
 def orthogonal_complement(matrix: BitMatrix) -> BitMatrix:

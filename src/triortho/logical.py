@@ -14,16 +14,19 @@ restored gauge.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .codes import TriorthogonalCode
-from .gf2 import BitVector, _enumerate_span_ints, _solve_ints
+from .gf2 import BitVector, _eliminate_ints, _enumerate_span_ints, _particular_ints
 from .simulator import (
     LabelLike,
     LogicalBasisLabel,
     SparseState,
+    _sample_outcome,
+    _transversal_h,
     apply_gate,
     drop_qubits,
     measure_register,
@@ -152,19 +155,31 @@ def _steane_round(
         state, x["data_post_h"] ^ z["data_pre_h"], z["data_post_h"] ^ x["data_pre_h"]
     )
     ancilla = _apply_pauli(prepare_plus_all(code), x["ancilla"], z["ancilla"])
-    flip = (x["cnot_data"] ^ x["cnot_both"]) | (x["cnot_ancilla"] ^ x["cnot_both"]) << n
-    joint = tensor(data, ancilla)
-    data_mask = (1 << n) - 1
     # Transversal CNOT, data controlling ancilla, then the X faults after
-    # it, as one key relabeling.
-    joint = SparseState(
-        2 * n, {k ^ ((k & data_mask) << n) ^ flip: a for k, a in joint.amps.items()}
-    )
-
-    outcome, collapsed = measure_register(
-        joint, range(n, 2 * n), rng=rng, force=force_outcomes
-    )
-    data = drop_qubits(collapsed, range(n, 2 * n))
+    # it: the register reads m = a ^ d ^ flip_a and the data d ^ flip_d.
+    # Probabilities sum in the order of the product state (ancilla keys
+    # outer, data keys inner), so they match a joint-state measurement bit
+    # for bit without building it.
+    flip_d = x["cnot_data"] ^ x["cnot_both"]
+    flip_a = x["cnot_ancilla"] ^ x["cnot_both"]
+    data_items = list(data.amps.items())
+    probs: dict[int, float] = {}
+    for ka, aa in ancilla.amps.items():
+        high = ka ^ flip_a
+        for kd, ad in data_items:
+            p = ad * aa
+            m = kd ^ high
+            probs[m] = probs.get(m, 0.0) + (p * p.conjugate()).real
+    outcome = _sample_outcome(probs, rng, force_outcomes)
+    # Each ancilla key meets at most one data key on the measured branch.
+    scale = 1.0 / math.sqrt(probs[outcome])
+    kept = {}
+    for ka, aa in ancilla.amps.items():
+        kd = outcome ^ ka ^ flip_a
+        ad = data.amps.get(kd)
+        if ad is not None:
+            kept[kd ^ flip_d] = ad * aa * scale
+    data = SparseState(n, kept)
 
     recorded = outcome ^ x["measurement"]
     syndrome_int = code.x_syndrome_of(recorded)
@@ -209,9 +224,7 @@ def logical_hadamard(
     """
     if state.n != code.n:
         raise ValueError(f"state has {state.n} qubits, code has {code.n}")
-    for q in range(code.n):
-        state = apply_gate(state, "H", (q,))
-    return _steane_round(state, code, faults, rng, force_outcomes)
+    return _steane_round(_transversal_h(state), code, faults, rng, force_outcomes)
 
 
 def steane_x_correct(
@@ -312,7 +325,9 @@ def pauli_residual(
     ideal_keys = sorted(ideal.amps)
     k_out = min(obs_keys)
     k0 = ideal_keys[0]
-    masks = [k ^ k0 for k in ideal_keys[1:]]
+    # The constraint rows t . (k ^ k0) are the same for every X shift, so
+    # they are reduced once and each shift only supplies a right-hand side.
+    rows, checks, null_basis = _eliminate_ints([k ^ k0 for k in ideal_keys[1:]], n)
     best: Optional[tuple[int, int, int]] = None
 
     for k_id in ideal_keys:
@@ -322,21 +337,18 @@ def pauli_residual(
         rho0 = observed.amps[k0 ^ r] / ideal.amps[k0]
         if abs(abs(rho0) - 1.0) > tol:
             continue
-        # Solve the sign constraints t . (k ^ k0) = rhs over GF(2).
-        rhs = []
-        for k in ideal_keys[1:]:
+        # Bit i of rhs: the sign of the i-th constraint over GF(2).
+        rhs = 0
+        for i, k in enumerate(ideal_keys[1:]):
             s = observed.amps[k ^ r] / ideal.amps[k] / rho0
-            if abs(s - 1.0) <= tol:
-                rhs.append(0)
-            elif abs(s + 1.0) <= tol:
-                rhs.append(1)
-            else:
+            if abs(s + 1.0) <= tol:
+                rhs |= 1 << i
+            elif abs(s - 1.0) > tol:
                 break
         else:
-            solved = _solve_ints(masks, rhs, n)
-            if solved is None:
+            t0 = _particular_ints(rows, checks, rhs)
+            if t0 is None:
                 continue
-            t0, null_basis = solved
             if len(null_basis) > 20:
                 raise ValueError(
                     f"residual null space of rank {len(null_basis)} exceeds "
@@ -462,8 +474,7 @@ def fault_tolerance_sweep(
         label = LogicalBasisLabel.of(input_label)
         data = prepare_logical(code, label)
         ideal = _hadamard_image(code, label.bits)
-    for q in range(code.n):
-        data = apply_gate(data, "H", (q,))
+    data = _transversal_h(data)
     rng = random.Random(seed)
     universe = _fault_universe(code.n)
     counterexamples = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .codes import TriorthogonalCode
-from .gf2 import ENUMERATION_GUARD, _enumerate_span_ints
+from .gf2 import ENUMERATION_GUARD, _enumerate_span_ints, _rref_ints, _solve_ints
 
 __all__ = [
     "PRUNE_EPS",
@@ -134,6 +134,51 @@ def apply_gate(state: SparseState, gate: str, qubits: Sequence[int]) -> SparseSt
     return SparseState(state.n, {k: -a if (k & mask) == mask else a for k, a in amps.items()})
 
 
+def _transversal_h(state: SparseState) -> SparseState:
+    """H on every qubit in one pass, exact for any sparse state.
+
+    With the support inside k0 + span(B), B a reduced basis of rank r,
+    each amplitude sits at its span coordinate c (the pivot bits of
+    k ^ k0).  The image amplitude at j is 2^(-n/2) (-1)^(k0.j) W(y), where
+    W is the length-2^r Walsh-Hadamard transform of the coordinates and
+    y_i = B_i.j; so each nonzero W(y) fills the coset {j : B.j = y} of
+    the span's dual.
+    """
+    n = state.n
+    if not state.amps:
+        return SparseState(n)
+    k0 = next(iter(state.amps))
+    basis, pivots = _rref_ints([k ^ k0 for k in state.amps], n)
+    r = len(basis)
+    for what, rank in (("support span", r), ("dual coset", n - r)):
+        if rank > ENUMERATION_GUARD:
+            raise ValueError(
+                f"{what} of rank {rank} exceeds enumeration guard 2**{ENUMERATION_GUARD}"
+            )
+    coeffs = [0j] * (1 << r)
+    for k, a in state.amps.items():
+        d = k ^ k0
+        coeffs[sum(((d >> p) & 1) << i for i, p in enumerate(pivots))] = a
+    half = 1
+    while half < len(coeffs):
+        for start in range(0, len(coeffs), 2 * half):
+            for i in range(start, start + half):
+                u, v = coeffs[i], coeffs[i + half]
+                coeffs[i], coeffs[i + half] = u + v, u - v
+        half *= 2
+    scale = 2.0 ** (-n / 2)
+    out: dict[int, complex] = {}
+    for y, w in enumerate(coeffs):
+        amp = w * scale
+        if abs(amp) <= PRUNE_EPS:
+            continue
+        # B has full rank, so every y has a solution.
+        particular, kernel = _solve_ints(basis, [(y >> i) & 1 for i in range(r)], n)
+        for j in _enumerate_span_ints(kernel, particular):
+            out[j] = -amp if (k0 & j).bit_count() & 1 else amp
+    return SparseState(n, out)
+
+
 def tensor(a: SparseState, b: SparseState) -> SparseState:
     """Tensor product; ``b``'s qubits are placed above ``a``'s."""
     shift = a.n
@@ -190,6 +235,28 @@ def drop_qubits(state: SparseState, qubits: Sequence[int]) -> SparseState:
     return SparseState(len(keep), dict(zip(_gather(keys, keep), state.amps.values())))
 
 
+def _sample_outcome(probs: dict[int, float], rng, force: Optional[int]) -> int:
+    """Pick an outcome of an unnormalized distribution.
+
+    The walk goes over the outcomes in sorted order, so a given rng stream
+    always selects the same branch.  ``force`` selects a branch explicitly
+    and raises if its probability is negligible.
+    """
+    if force is not None:
+        if probs.get(force, 0.0) <= NORM_TOL:
+            raise ValueError(f"forced outcome {force:#x} has negligible probability")
+        return force
+    if rng is None:
+        raise ValueError("measurement needs an rng (or a forced outcome)")
+    r = rng.random()
+    acc = 0.0
+    for key in sorted(probs):
+        acc += probs[key]
+        if r < acc:
+            return key
+    return max(probs)
+
+
 def measure_register(
     state: SparseState,
     qubits: Sequence[int],
@@ -208,22 +275,7 @@ def measure_register(
     probs: dict[int, float] = {}
     for value, a in zip(values, state.amps.values()):
         probs[value] = probs.get(value, 0.0) + (a * a.conjugate()).real
-    if force is not None:
-        prob = probs.get(force, 0.0)
-        if prob <= NORM_TOL:
-            raise ValueError(f"forced outcome {force:#x} has negligible probability")
-        outcome = force
-    else:
-        if rng is None:
-            raise ValueError("measurement needs an rng (or a forced outcome)")
-        r = rng.random()
-        acc = 0.0
-        outcome = max(probs)
-        for key in sorted(probs):
-            acc += probs[key]
-            if r < acc:
-                outcome = key
-                break
+    outcome = _sample_outcome(probs, rng, force)
     scale = 1.0 / math.sqrt(probs[outcome])
     out = {
         k: a * scale

@@ -2,6 +2,7 @@
 
 import pytest
 
+from triortho import codes as codes_mod
 from triortho.codes import (
     TriorthogonalMatrix,
     build_code,
@@ -167,13 +168,23 @@ class TestDistances:
         assert distances(small8_code) == (1, 1)
 
     def test_enumeration_guards_name_rank_and_limit(self):
-        # 7 copies of D2 (n=98): row space of rank 21 + 7.  3 copies (n=42):
-        # stabilizer complement of rank 42 - 9.
+        # 7 copies of D2 (n=98): row space of rank 21 + 7.  3 copies (n=42)
+        # have a stabilizer complement of rank 33, but d_z = 2 is found by
+        # weight long before that complement would need enumerating.
         guard = r"exceeds enumeration guard 2\*\*25"
         with pytest.raises(ValueError, match="row space of rank 28 " + guard):
             distances(build_code(direct_sum(D2_ROWS, 7)))
-        with pytest.raises(ValueError, match="stabilizer complement of rank 33 " + guard):
-            distances(build_code(direct_sum(D2_ROWS, 3)))
+        assert distances(build_code(direct_sum(D2_ROWS, 3))) == (7, 2)
+
+    def test_weight_search_guard_names_weight_and_count(self, builtin_matrix, monkeypatch):
+        # [[15,1,3]] needs weight 3 (455 supports), over a guard of 2**8.
+        monkeypatch.setattr(codes_mod, "ENUMERATION_GUARD", 8)
+        with pytest.raises(
+            ValueError,
+            match=r"weight-3 search over 15 qubits has 455 candidates, "
+            r"exceeding enumeration guard 2\*\*8",
+        ):
+            distances(build_code(builtin_matrix))
 
     def test_column_permutation_preserves_parameters(self, builtin_matrix):
         base = build_code(builtin_matrix)

@@ -1,15 +1,20 @@
 """Measurement-based logical Hadamard, Steane correction, fault injection,
 and Toffoli-state gate teleportation."""
 
+import itertools
 import random
 
 import pytest
 
+from triortho.gf2 import BitVector
 from triortho.logical import (
+    FAULT_LOCATIONS,
     FaultSpec,
+    SteaneReport,
     SweepCounterexample,
     SweepReport,
     _fault_universe,
+    _apply_pauli,
     _generic_logical_state,
     _steane_round,
     ccz_via_toffoli_state,
@@ -23,10 +28,15 @@ from triortho.logical import (
 from triortho.simulator import (
     LogicalBasisLabel,
     SparseState,
+    _transversal_h,
     apply_gate,
+    drop_qubits,
+    measure_register,
     prepare_logical,
+    prepare_plus_all,
     states_equal_up_to_global_phase,
     superpose,
+    tensor,
 )
 
 
@@ -555,3 +565,122 @@ class TestSweepAgainstRounds:
     def test_every_label_form_accepted(self, small8_code, label):
         expected = fault_tolerance_sweep(small8_code, 1, input_label=(1,), seed=2)
         assert fault_tolerance_sweep(small8_code, 1, input_label=label, seed=2) == expected
+
+
+def joint_state_round(state, code, faults, rng, force_outcomes):
+    """Reference for ``_steane_round`` through the full 2n-qubit state:
+    tensor with the ancilla, the transversal CNOT and the X faults after it
+    as one key relabeling, measure the ancilla register, drop it."""
+    n = code.n
+    x = dict.fromkeys(FAULT_LOCATIONS, 0)
+    z = dict.fromkeys(FAULT_LOCATIONS, 0)
+    for f in faults:
+        f.validate(n)
+        (z if f.pauli == "Z" else x)[f.location] ^= 1 << f.qubit
+    data = _apply_pauli(
+        state, x["data_post_h"] ^ z["data_pre_h"], z["data_post_h"] ^ x["data_pre_h"]
+    )
+    ancilla = _apply_pauli(prepare_plus_all(code), x["ancilla"], z["ancilla"])
+    flip = (x["cnot_data"] ^ x["cnot_both"]) | (x["cnot_ancilla"] ^ x["cnot_both"]) << n
+    joint = tensor(data, ancilla)
+    data_mask = (1 << n) - 1
+    joint = SparseState(
+        2 * n, {k ^ ((k & data_mask) << n) ^ flip: a for k, a in joint.amps.items()}
+    )
+    outcome, collapsed = measure_register(
+        joint, range(n, 2 * n), rng=rng, force=force_outcomes
+    )
+    data = drop_qubits(collapsed, range(n, 2 * n))
+
+    recorded = outcome ^ x["measurement"]
+    syndrome = code.x_syndrome_of(recorded)
+    correction = code.decode_x(syndrome)
+    corrected = recorded ^ correction.value
+    gauge = tuple(
+        (pair.z_part.value & corrected).bit_count() & 1 for pair in code.gauge_pairs
+    )
+    total = correction.value
+    for bit, pair in zip(gauge, code.gauge_pairs):
+        if bit:
+            total ^= pair.x_part.value
+    return _apply_pauli(data, total, 0), SteaneReport(
+        raw_outcomes=BitVector(recorded, n),
+        x_syndrome=tuple((syndrome >> j) & 1 for j in range(code.g0_basis.row_count)),
+        gauge_parities=gauge,
+        applied_correction=correction,
+        decode_success=True,
+    )
+
+
+def _oracle_faults(n):
+    # The sweep's fault universe plus every Z fault the round accepts.
+    z_faults = [
+        FaultSpec(location, "Z", q)
+        for location in ("data_pre_h", "data_post_h", "ancilla")
+        for q in range(n)
+    ]
+    return _fault_universe(n) + z_faults
+
+
+class TestRoundAgainstJointState:
+    FIXTURES = ("builtin_code", "d2_code", "small10_code", "small8_code")
+
+    @staticmethod
+    def _inputs(code):
+        # Generic and basis inputs, each as prepared (the X-correction
+        # round) and after transversal H (the Hadamard round).
+        generic, _ = _generic_logical_state(code)
+        basis = prepare_logical(code, (1,))
+        return {
+            "generic": generic,
+            "basis": basis,
+            "generic_h": _transversal_h(generic),
+            "basis_h": _transversal_h(basis),
+        }
+
+    @staticmethod
+    def _assert_agree(data, code, faults, seed):
+        # The sampled branch, then a forced branch picked by another seed.
+        got = _steane_round(data, code, faults, random.Random(seed), None)
+        want = joint_state_round(data, code, faults, random.Random(seed), None)
+        assert list(got[0].amps.items()) == list(want[0].amps.items()), faults
+        assert got[1] == want[1], faults
+        flips = 0
+        for f in faults:
+            if f.location == "measurement":
+                flips ^= 1 << f.qubit
+        _, other = _steane_round(data, code, faults, random.Random(seed + 1), None)
+        force = other.raw_outcomes.value ^ flips
+        got = _steane_round(data, code, faults, None, force)
+        want = joint_state_round(data, code, faults, None, force)
+        assert list(got[0].amps.items()) == list(want[0].amps.items()), faults
+        assert got[1] == want[1], faults
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_every_single_fault(self, fixture, request):
+        # The 2n-qubit reference costs |data| * |ancilla| keys; after H on
+        # the two larger codes that is 32768 to 65536, so those inputs take
+        # every tenth fault.
+        code = request.getfixturevalue(fixture)
+        faults = _oracle_faults(code.n)
+        for name, data in self._inputs(code).items():
+            stride = 10 if name.endswith("_h") and code.n >= 14 else 1
+            for i, fault in enumerate(faults[::stride]):
+                self._assert_agree(data, code, (fault,), seed=i)
+            self._assert_agree(data, code, (), seed=len(faults))
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_seeded_weight_two_pairs(self, fixture, request):
+        code = request.getfixturevalue(fixture)
+        pairs = list(itertools.combinations(_oracle_faults(code.n), 2))
+        rng = random.Random(code.n)
+        inputs = self._inputs(code)
+        names = ["generic", "basis"] if code.n >= 14 else list(inputs)
+        for i, pair in enumerate(rng.sample(pairs, 60)):
+            self._assert_agree(inputs[names[i % len(names)]], code, pair, seed=i)
+
+    def test_negligible_forced_outcome_raises(self, builtin_code):
+        # A weight-one register value lies outside the matrix row space.
+        data = prepare_logical(builtin_code, (0,))
+        with pytest.raises(ValueError, match="negligible probability"):
+            _steane_round(data, builtin_code, (), None, 1)

@@ -16,6 +16,7 @@ from triortho.gf2 import (
 from triortho.simulator import (
     LogicalBasisLabel,
     SparseState,
+    _transversal_h,
     apply_gate,
     drop_qubits,
     measure_register,
@@ -267,6 +268,65 @@ class TestSupportBounds:
         assert state.support_size() == 2**source.rank
         expected = set(_enumerate_span_ints(_rref_ints(source.row_values(), source.n)[0]))
         assert set(state.amps) == expected
+
+
+def _per_qubit_h(state):
+    for q in range(state.n):
+        state = apply_gate(state, "H", (q,))
+    return state
+
+
+def _random_state(rng, n, keys):
+    amps = {k: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for k in keys}
+    return SparseState(n, amps).normalize()
+
+
+class TestTransversalH:
+    def _assert_matches_per_qubit(self, state):
+        got, want = _transversal_h(state), _per_qubit_h(state)
+        assert got.n == want.n
+        assert set(got.amps) == set(want.amps)
+        for k, a in want.amps.items():
+            assert abs(got.amps[k] - a) < 1e-12
+
+    def test_random_sparse_states(self):
+        # Random key sets are mostly not affine subspaces, so the span is
+        # larger than the support and most transform coefficients are used.
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            size = rng.randint(1, min(12, 1 << n))
+            self._assert_matches_per_qubit(_random_state(rng, n, rng.sample(range(1 << n), size)))
+
+    def test_single_key_and_full_rank_supports(self):
+        rng = random.Random(7)
+        for n in (1, 4, 8):
+            self._assert_matches_per_qubit(SparseState.basis_state(n, rng.getrandbits(n)))
+            self._assert_matches_per_qubit(_random_state(rng, n, range(1 << n)))
+            # Rank n with only n + 1 keys.
+            self._assert_matches_per_qubit(_random_state(rng, n, [0] + [1 << q for q in range(n)]))
+
+    def test_image_cancels_to_a_smaller_support(self, small8_code):
+        # H^n of a signed uniform coset is one basis state; an encoded
+        # basis state's image is its dual coset.
+        for key in (0b1011, 0b11111111):
+            state = _per_qubit_h(SparseState.basis_state(8, key))
+            image = _transversal_h(state)
+            assert list(image.amps) == [key]
+            assert abs(image.amps[key] - 1.0) < 1e-12
+        self._assert_matches_per_qubit(prepare_logical(small8_code, (1,)))
+        self._assert_matches_per_qubit(_per_qubit_h(prepare_logical(small8_code, (0,))))
+
+    def test_empty_state(self):
+        assert _transversal_h(SparseState(3)).amps == {}
+
+    def test_guards_name_rank_and_limit(self):
+        guard = r"exceeds enumeration guard 2\*\*25"
+        wide = SparseState(26, {0: 1.0, **{1 << q: 1.0 for q in range(26)}})
+        with pytest.raises(ValueError, match="support span of rank 26 " + guard):
+            _transversal_h(wide)
+        with pytest.raises(ValueError, match="dual coset of rank 26 " + guard):
+            _transversal_h(SparseState.basis_state(26, 5))
 
 
 class TestStateHelpers:
