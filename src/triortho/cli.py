@@ -11,6 +11,8 @@ output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import random
 import sys
@@ -19,23 +21,19 @@ from typing import Optional, Sequence
 from . import codes as codes_mod
 from . import cost as cost_mod
 from . import distill as distill_mod
-from .codes import TriorthogonalCode, TriorthogonalMatrix, build_code, builtin_15_1_3, distances
+from .codes import TriorthogonalMatrix, build_code, builtin_15_1_3, distances
 from .gf2 import _atomic_write_text, format_matrix, read_matrix
 from .logical import (
     FaultSpec,
     SteaneReport,
-    _hadamard_image,
+    _basis_coefficients,
+    _hadamard_pair,
+    _label_bits,
     gauge_parities_of_state,
     logical_hadamard,
     pauli_residual,
 )
-from .simulator import (
-    SparseState,
-    prepare_logical,
-    states_equal_up_to_global_phase,
-    superpose,
-    transversal_ccz_phase_check,
-)
+from .simulator import states_equal_up_to_global_phase, transversal_ccz_phase_check
 
 DEFAULT_SEED = 0x5EED
 
@@ -57,39 +55,45 @@ def _load_source(args: argparse.Namespace) -> TriorthogonalMatrix:
     return TriorthogonalMatrix.from_matrix(matrix, level=getattr(args, "level", None))
 
 
+# A --fault value lists FaultSpec's fields in order, joined by colons.
+_FAULT_SYNTAX = ":".join(f.name for f in dataclasses.fields(FaultSpec))
+
+
 def _parse_fault(text: str) -> FaultSpec:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"fault must look like location:pauli:qubit, got {text!r}")
+        raise ValueError(f"fault must look like {_FAULT_SYNTAX}, got {text!r}")
     return FaultSpec(location=parts[0], pauli=parts[1].upper(), qubit=int(parts[2]))
 
 
-def _parse_input_state(text: str, code: TriorthogonalCode) -> SparseState:
+def _fault_text(fault: FaultSpec) -> str:
+    return ":".join(str(value) for value in dataclasses.astuple(fault))
+
+
+def _input_coefficients(text: str, k: int) -> list[complex]:
+    # --input as logical amplitudes: '+' and '-' on one logical qubit, or
+    # a basis label with one bit per logical qubit.
     if text in ("+", "-"):
-        if code.k != 1:
+        if k != 1:
             raise ValueError(f"input {text!r} needs a single logical qubit")
-        return superpose(
-            [
-                (complex(1.0), prepare_logical(code, (0,))),
-                (complex(float(text + "1")), prepare_logical(code, (1,))),
-            ]
-        )
+        return [complex(1.0), complex(float(text + "1"))]
     bits = tuple(int(c) for c in text)
-    if len(bits) != code.k or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"input label {text!r} does not fit k={code.k}")
-    return prepare_logical(code, bits)
-
-
-def _ideal_hadamard_image(text: str, code: TriorthogonalCode) -> SparseState:
-    if text == "+":
-        return prepare_logical(code, (0,))
-    if text == "-":
-        return prepare_logical(code, (1,))
-    return _hadamard_image(code, tuple(int(c) for c in text))
+    if len(bits) != k or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"input label {text!r} does not fit k={k}")
+    return _basis_coefficients(bits)
 
 
 def _label_text(bits: Sequence[int]) -> str:
     return "".join(str(b) for b in bits)
+
+
+def _report_text(report: SteaneReport) -> str:
+    return (
+        f"outcomes={report.raw_outcomes.to_string()} "
+        f"syndrome={_label_text(report.x_syndrome)} "
+        f"gauge={_label_text(report.gauge_parities)} "
+        f"correction={report.applied_correction.to_string()}"
+    )
 
 
 def cmd_check_matrix(args: argparse.Namespace) -> int:
@@ -184,16 +188,11 @@ def cmd_verify_ccz(args: argparse.Namespace) -> int:
     k = code.k
     all_ok = True
     results = []
-    for a in range(1 << k):
-        for b in range(1 << k):
-            for c in range(1 << k):
-                labels = [
-                    tuple((x >> i) & 1 for i in range(k)) for x in (a, b, c)
-                ]
-                check = transversal_ccz_phase_check(code, labels)
-                ok = check.matches
-                all_ok &= ok
-                results.append((labels, check, ok))
+    for labels in itertools.product([_label_bits(x, k) for x in range(1 << k)], repeat=3):
+        check = transversal_ccz_phase_check(code, labels)
+        ok = check.matches
+        all_ok &= ok
+        results.append((labels, check, ok))
     if args.format == "json":
         _emit_json(
             {
@@ -203,7 +202,7 @@ def cmd_verify_ccz(args: argparse.Namespace) -> int:
                 "all_ok": all_ok,
                 "checks": [
                     {
-                        "labels": ["".join(map(str, lab)) for lab in labels],
+                        "labels": [_label_text(lab) for lab in labels],
                         "phase": check.phase,
                         "expected": check.expected,
                         "uniform": check.uniform,
@@ -222,22 +221,10 @@ def cmd_verify_ccz(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def _report_payload(
-    report: SteaneReport, matches: Optional[bool], gauge_zero: Optional[bool]
-) -> dict:
-    payload = report.to_json_dict()
-    if matches is not None:
-        payload["matches_ideal"] = matches
-    if gauge_zero is not None:
-        payload["gauge_restored"] = gauge_zero
-    return payload
-
-
 def cmd_simulate_hadamard(args: argparse.Namespace) -> int:
     source = _load_source(args)
     code = build_code(source)
-    state = _parse_input_state(args.input, code)
-    ideal = _ideal_hadamard_image(args.input, code)
+    state, ideal = _hadamard_pair(code, _input_coefficients(args.input, code.k))
     header = {
         "command": "simulate-hadamard",
         "input": args.input,
@@ -258,18 +245,17 @@ def cmd_simulate_hadamard(args: argparse.Namespace) -> int:
         gauge = gauge_parities_of_state(output, code)
         gauge_zero = gauge is not None and not any(gauge)
         all_ok &= matches and gauge_zero
-        payload = _report_payload(report, matches, gauge_zero)
-        payload["seed"] = args.seed + offset
         if args.format == "json":
-            _emit_json(payload)
-        else:
-            _emit(
-                f"seed={args.seed + offset} outcomes={report.raw_outcomes.to_string()} "
-                f"syndrome={_label_text(report.x_syndrome)} "
-                f"gauge={_label_text(report.gauge_parities)} "
-                f"correction={report.applied_correction.to_string()} "
-                f"ok={matches and gauge_zero}"
+            _emit_json(
+                {
+                    **report.to_json_dict(),
+                    "matches_ideal": matches,
+                    "gauge_restored": gauge_zero,
+                    "seed": args.seed + offset,
+                }
             )
+        else:
+            _emit(f"seed={args.seed + offset} {_report_text(report)} ok={matches and gauge_zero}")
     if args.format != "json":
         _emit("PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
@@ -279,34 +265,27 @@ def cmd_inject_faults(args: argparse.Namespace) -> int:
     source = _load_source(args)
     code = build_code(source)
     faults = tuple(_parse_fault(f) for f in args.fault)
-    state = _parse_input_state(args.input, code)
-    ideal = _ideal_hadamard_image(args.input, code)
+    state, ideal = _hadamard_pair(code, _input_coefficients(args.input, code.k))
     rng = random.Random(args.seed)
     output, report = logical_hadamard(state, code, faults=faults, rng=rng)
     residual = pauli_residual(output, ideal)
     tolerated = residual is not None and residual.sites <= len(faults)
-    payload = _report_payload(report, None, None)
-    payload.update(
-        {
-            "command": "inject-faults",
-            "seed": args.seed,
-            "faults": [f"{f.location}:{f.pauli}:{f.qubit}" for f in faults],
-            "residual_sites": None if residual is None else residual.sites,
-            "tolerated": tolerated,
-        }
-    )
     if args.format == "json":
-        _emit_json(payload)
+        _emit_json(
+            {
+                **report.to_json_dict(),
+                "command": "inject-faults",
+                "seed": args.seed,
+                "faults": [_fault_text(f) for f in faults],
+                "residual_sites": None if residual is None else residual.sites,
+                "tolerated": tolerated,
+            }
+        )
     else:
         _emit(f"# seed={args.seed} faults={len(faults)}")
         for f in faults:
-            _emit(f"fault {f.location}:{f.pauli}:{f.qubit}")
-        _emit(
-            f"outcomes={report.raw_outcomes.to_string()} "
-            f"syndrome={_label_text(report.x_syndrome)} "
-            f"gauge={_label_text(report.gauge_parities)} "
-            f"correction={report.applied_correction.to_string()}"
-        )
+            _emit(f"fault {_fault_text(f)}")
+        _emit(_report_text(report))
         sites = "none" if residual is None else str(residual.sites)
         _emit(f"residual_sites={sites} tolerated={tolerated}")
     return 0 if tolerated else 1
@@ -376,16 +355,7 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
             {
                 "command": "cost-curve",
                 "physical_t_error": args.physical_t_error,
-                "rows": [
-                    {
-                        "target_error": row.target_error,
-                        "jones": row.jones,
-                        "jones_double": row.jones_double,
-                        "triortho_k_opt": row.triortho_k_opt,
-                        "k_star": row.k_star,
-                    }
-                    for row in rows
-                ],
+                "rows": [dataclasses.asdict(row) for row in rows],
                 "out": args.out,
             }
         )
@@ -457,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault",
         action="append",
         default=[],
-        help="location:pauli:qubit, e.g. cnot_data:X:7 (repeatable)",
+        help=f"{_FAULT_SYNTAX}, e.g. cnot_data:X:7 (repeatable)",
     )
     p.add_argument("--input", default="0")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -43,9 +43,20 @@ __all__ = [
 _DECODER_LIMIT = 20  # the decoder table holds at most 2**_DECODER_LIMIT syndromes
 
 
-def _check_orthogonality_ints(rows: list[int], level: int) -> Optional[tuple[int, ...]]:
+def _check_orthogonality_ints(
+    rows: list[int], level: int, guarded: bool = False
+) -> Optional[tuple[int, ...]]:
+    # A guarded check (a level probe) stops after 2**ENUMERATION_GUARD tuples.
+    limit = 1 << ENUMERATION_GUARD if guarded else math.inf
+    examined = 0
     for j in range(2, level + 1):
         for combo in itertools.combinations(range(len(rows)), j):
+            examined += 1
+            if examined > limit:
+                raise ValueError(
+                    f"level probe examined more than 2**{ENUMERATION_GUARD} row tuples "
+                    f"(enumeration guard) by level {j}; give an explicit level (--level)"
+                )
             product = rows[combo[0]]
             for idx in combo[1:]:
                 product &= rows[idx]
@@ -84,23 +95,22 @@ class TriorthogonalMatrix:
         """Verify a matrix and classify its rows.
 
         With ``level=None`` the highest passing level is probed, up to the
-        row count (beyond which the conditions are vacuous).  An explicit
-        level is verified exactly.  Raises ValueError on violation, naming
-        the offending row tuple.
+        row count (beyond which the conditions are vacuous), and the probe
+        raises past 2**ENUMERATION_GUARD row tuples.  An explicit level is
+        verified exactly.  Raises ValueError on violation, naming the
+        offending row tuple.
         """
         rows = matrix.row_values()
         if any(r == 0 for r in rows):
             raise ValueError("zero rows are not allowed")
         if level is None:
-            probed = 1
-            for h in range(2, max(matrix.row_count, 2) + 1):
-                if _check_orthogonality_ints(rows, h) is not None:
-                    break
-                probed = h
-            if probed < 2:
-                violation = _check_orthogonality_ints(rows, 2)
+            # Violations come smallest tuple first, so the first one sits
+            # one level above the highest passing level.
+            top = max(matrix.row_count, 2)
+            violation = _check_orthogonality_ints(rows, top, guarded=True)
+            level = top if violation is None else len(violation) - 1
+            if level < 2:
                 raise ValueError(f"rows {violation} have odd product weight at level 2")
-            level = probed
         else:
             if level < 2:
                 raise ValueError(f"level must be at least 2, got {level}")
@@ -254,13 +264,17 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
     complement = orthogonal_complement(matrix)
 
     # Extend the even-row basis to a basis of the complement.  The new
-    # directions represent the quotient carrying the gauge structure.
-    span = g0_reduced
+    # directions represent the quotient carrying the gauge structure.  One
+    # running echelon, keyed by lowest bit (the even-row pivots), keeps each
+    # complement row that does not reduce to zero.
+    echelon = {row & -row: row for row in g0_reduced}
     quotient_reps: list[int] = []
     for row in complement.row_values():
-        extended, _ = _rref_ints(span + [row], n)
-        if len(extended) > len(span):
-            span = extended
+        reduced = row
+        while reduced & -reduced in echelon:
+            reduced ^= echelon[reduced & -reduced]
+        if reduced:
+            echelon[reduced & -reduced] = reduced
             quotient_reps.append(row)
     g = len(quotient_reps)
     assert len(g0_reduced) + g == complement.row_count

@@ -21,7 +21,7 @@ Both Toffoli kinds count as deliverables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
 __all__ = [
@@ -318,9 +318,6 @@ def optimize_stack(query: CostQuery) -> CostResult:
     )
 
 
-CSV_HEADER = "target_error,jones,jones_double,triortho_k_opt,k_star"
-
-
 @dataclass(frozen=True)
 class CurveRow:
     target_error: float
@@ -328,6 +325,9 @@ class CurveRow:
     jones_double: Optional[float]
     triortho_k_opt: Optional[float]
     k_star: Optional[int]
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CurveRow))
 
 
 def _family_cost(
@@ -373,7 +373,10 @@ def cost_curve(
     The jones and jones_double columns restrict the menu to T-level
     protocols plus that single Toffoli family; the triortho column allows
     any Toffoli source below a final triorthogonal level and reports its
-    k.  Missing families and infeasible targets leave blank cells.
+    k.  Missing families and infeasible targets leave blank cells.  No
+    entry of ``default_menu`` has the ``jones_double`` family, so that
+    column is blank for the default menu; a menu (``--menu`` on the
+    command line) with a ``jones_double`` entry fills it.
     """
     rows = []
     for target in targets:
@@ -393,22 +396,11 @@ def cost_curve(
 
 
 def render_cost_curve_csv(rows: Sequence[CurveRow]) -> str:
-    def cell(value) -> str:
-        return "" if value is None else repr(value)
-
+    """One CSV line per row under ``CSV_HEADER``; a missing value is an empty cell."""
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    repr(row.target_error),
-                    cell(row.jones),
-                    cell(row.jones_double),
-                    cell(row.triortho_k_opt),
-                    cell(row.k_star) if row.k_star is None else str(row.k_star),
-                )
-            )
-        )
+        cells = ("" if value is None else repr(value) for value in astuple(row))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -405,16 +405,43 @@ class SweepReport:
         return not self.counterexamples
 
 
-def _hadamard_image(code: TriorthogonalCode, label: tuple[int, ...]) -> SparseState:
-    # Ideal transversal-H image of the encoded basis state: the usual
-    # k-fold Hadamard sign pattern over all logical labels.
-    amp = complex(2.0 ** (-code.k / 2.0))
-    terms = []
-    for other in range(1 << code.k):
-        bits = tuple((other >> i) & 1 for i in range(code.k))
-        sign = -1.0 if sum(a * b for a, b in zip(label, bits)) % 2 else 1.0
-        terms.append((amp * sign, prepare_logical(code, bits)))
-    return superpose(terms)
+def _label_bits(index: int, k: int) -> tuple[int, ...]:
+    return tuple((index >> i) & 1 for i in range(k))
+
+
+def _basis_coefficients(bits: Sequence[int]) -> list[complex]:
+    """The coefficient vector of one logical basis label."""
+    index = sum(b << i for i, b in enumerate(bits))
+    return [complex(x == index) for x in range(1 << len(bits))]
+
+
+def _hadamard_pair(
+    code: TriorthogonalCode, coeffs: Sequence[complex], gauge_bits: Sequence[int] = ()
+) -> tuple[SparseState, SparseState]:
+    """A data state and its ideal logical Hadamard image.
+
+    ``coeffs[x]`` is the amplitude of logical label x, bit i of x the value
+    of logical qubit i.  The state is the normalised sum of c_x |x>, on the
+    gauge sector ``gauge_bits``; with one nonzero coefficient it is that
+    label's ``prepare_logical`` state, up to a global phase.  The image is
+    the normalised sum over y of (sum_x c_x (-1)^(x.y)) |y>, on gauge zero,
+    the sector a correction round restores.
+    """
+    if len(coeffs) != 1 << code.k:
+        raise ValueError(f"{len(coeffs)} coefficients for 2**{code.k} logical labels")
+    walsh = [
+        sum(-c if (x & y).bit_count() & 1 else c for x, c in enumerate(coeffs))
+        for y in range(len(coeffs))
+    ]
+    pair = []
+    for amps, gauge in ((coeffs, gauge_bits), (walsh, ())):
+        terms = [
+            (c, prepare_logical(code, LogicalBasisLabel.of(_label_bits(x, code.k), gauge)))
+            for x, c in enumerate(amps)
+            if c
+        ]
+        pair.append(terms[0][1] if len(terms) == 1 else superpose(terms))
+    return pair[0], pair[1]
 
 
 def _generic_logical_state(code: TriorthogonalCode) -> tuple[SparseState, SparseState]:
@@ -425,28 +452,14 @@ def _generic_logical_state(code: TriorthogonalCode) -> tuple[SparseState, Sparse
     would hide its own eigenoperator: |+...+> absorbs any logical X, making
     weight-2 logical damage look like a clean round.
     """
-    coeffs = [complex(j + 1) * (1j**j) for j in range(1 << code.k)]
-    labels = [tuple((j >> i) & 1 for i in range(code.k)) for j in range(1 << code.k)]
-    state = superpose(
-        [(c, prepare_logical(code, lab)) for c, lab in zip(coeffs, labels)]
-    )
-    image = superpose(
-        [(c, _hadamard_image(code, lab)) for c, lab in zip(coeffs, labels)]
-    )
-    return state, image
+    return _hadamard_pair(code, [complex(j + 1) * (1j**j) for j in range(1 << code.k)])
 
 
 def _fault_universe(n: int) -> list[FaultSpec]:
-    sites = []
-    for q in range(n):
-        sites.append(FaultSpec("data_pre_h", "X", q))
-        sites.append(FaultSpec("data_post_h", "X", q))
-        sites.append(FaultSpec("ancilla", "X", q))
-        sites.append(FaultSpec("cnot_data", "X", q))
-        sites.append(FaultSpec("cnot_ancilla", "X", q))
-        sites.append(FaultSpec("cnot_both", "X", q))
-        sites.append(FaultSpec("measurement", "FLIP", q))
-    return sites
+    # Each location's first Pauli (X, or a measurement FLIP), qubit by qubit.
+    return [
+        FaultSpec(loc, _PAULI_BY_LOCATION[loc][0], q) for q in range(n) for loc in FAULT_LOCATIONS
+    ]
 
 
 def fault_tolerance_sweep(
@@ -472,8 +485,7 @@ def fault_tolerance_sweep(
         data, ideal = _generic_logical_state(code)
     else:
         label = LogicalBasisLabel.of(input_label)
-        data = prepare_logical(code, label)
-        ideal = _hadamard_image(code, label.bits)
+        data, ideal = _hadamard_pair(code, _basis_coefficients(label.bits), label.gauge_bits)
     data = _transversal_h(data)
     rng = random.Random(seed)
     universe = _fault_universe(code.n)

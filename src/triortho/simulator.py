@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .codes import TriorthogonalCode
-from .gf2 import ENUMERATION_GUARD, _enumerate_span_ints, _rref_ints, _solve_ints
+from .gf2 import (
+    ENUMERATION_GUARD,
+    _eliminate_ints,
+    _enumerate_span_ints,
+    _particular_ints,
+    _rref_ints,
+)
 
 __all__ = [
     "PRUNE_EPS",
@@ -167,13 +173,15 @@ def _transversal_h(state: SparseState) -> SparseState:
                 coeffs[i], coeffs[i + half] = u + v, u - v
         half *= 2
     scale = 2.0 ** (-n / 2)
+    # B is reduced once; bit i of y is the right-hand side of B_i . j.
+    rows, checks, kernel = _eliminate_ints(basis, n)
     out: dict[int, complex] = {}
     for y, w in enumerate(coeffs):
         amp = w * scale
         if abs(amp) <= PRUNE_EPS:
             continue
         # B has full rank, so every y has a solution.
-        particular, kernel = _solve_ints(basis, [(y >> i) & 1 for i in range(r)], n)
+        particular = _particular_ints(rows, checks, y)
         for j in _enumerate_span_ints(kernel, particular):
             out[j] = -amp if (k0 & j).bit_count() & 1 else amp
     return SparseState(n, out)

@@ -1,0 +1,64 @@
+"""Golden CLI output: the complete stdout and exit code of fixed
+invocations, pinned byte for byte.
+
+The expected stdout of case ``name`` is ``tests/data/cli_golden/<name>.txt``.
+After an intended output change, rewrite those files with
+``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from triortho.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "cli_golden"
+
+SIMULATE = ["simulate-hadamard", "--builtin", "15-1-3", "--seeds", "3"]
+INJECT = ["inject-faults", "--builtin", "15-1-3"]
+TOLERATED = ["--fault", "cnot_data:X:7", "--fault", "measurement:FLIP:4"]
+# Two aliased data errors decode into a logical X on the |+> input.
+UNTOLERATED = ["--input", "+", "--fault", "data_post_h:X:0", "--fault", "data_post_h:X:1"]
+COST = ["cost-curve", "--targets", "1e-10,1e-13"]
+
+# name -> (argv without --format, exit code)
+CASES = {
+    "simulate_plus": (SIMULATE + ["--input", "+"], 0),
+    "simulate_bits": (SIMULATE + ["--input", "1"], 0),
+    "inject_tolerated": (INJECT + TOLERATED, 0),
+    "inject_untolerated": (INJECT + UNTOLERATED, 1),
+    "cost_curve": (COST, 0),
+}
+
+FORMATS = ("text", "json")
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = main(argv)
+    return status, buf.getvalue()
+
+
+def _golden_path(name, fmt):
+    return GOLDEN_DIR / f"{name}.{fmt}.txt"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, fmt):
+    argv, expected_status = CASES[name]
+    status, out = _run(argv + ["--format", fmt])
+    assert status == expected_status
+    assert out == _golden_path(name, fmt).read_text(encoding="ascii")
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for case, (args, _status) in sorted(CASES.items()):
+        for form in FORMATS:
+            _golden_path(case, form).write_text(_run(args + ["--format", form])[1], encoding="ascii")
+            sys.stderr.write(f"wrote {_golden_path(case, form)}\n")

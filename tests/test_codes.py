@@ -11,7 +11,7 @@ from triortho.codes import (
     distances,
     search_triorthogonal,
 )
-from triortho.gf2 import BitMatrix, BitVector
+from triortho.gf2 import BitMatrix, BitVector, _rref_ints
 
 from conftest import (
     D2_ROWS,
@@ -22,6 +22,25 @@ from conftest import (
     SMALL10_SEARCH,
     direct_sum,
 )
+
+
+# Three block-diagonal copies of rows 111 and 110: orthogonal at every
+# level up to the row count.
+_BLOCKS_3 = tuple(
+    "000" * c + row + "000" * (2 - c) for c in range(3) for row in ("111", "110")
+)
+
+
+def _rank_growth_reps(code):
+    # The complement rows build_code kept before its one-pass extension:
+    # each one that grows the rank of the even rows plus those kept so far.
+    span = code.g0_basis.row_values()
+    reps = []
+    for row in code.z_stabilizers.row_values():
+        if len(_rref_ints(span + [row], code.n)[0]) > len(span):
+            span = span + [row]
+            reps.append(row)
+    return reps
 
 
 class TestCheckOrthogonality:
@@ -84,6 +103,27 @@ class TestFromMatrix:
         assert m.level == 2
         assert m.even_rows == (0,) and m.odd_rows == ()
 
+    def test_fixtures_keep_their_probed_levels(
+        self, builtin_matrix, d2_matrix, small10_matrix, small8_matrix
+    ):
+        levels = [m.level for m in (builtin_matrix, d2_matrix, small10_matrix, small8_matrix)]
+        assert levels == [3, 3, 4, 4]
+
+    @pytest.mark.parametrize("rows", [_BLOCKS_3, D2_ROWS, SMALL10_ROWS, SMALL8_ROWS])
+    def test_probe_is_highest_passing_level(self, rows):
+        matrix = BitMatrix.from_strings(rows)
+        passing = [h for h in range(2, len(rows) + 1) if check_orthogonality(matrix, h) is None]
+        assert TriorthogonalMatrix.from_matrix(matrix).level == max(passing)
+
+    def test_probe_guard_names_limit_and_suggests_level(self, monkeypatch):
+        # Six rows have 15 pairs and 20 triples, over a guard of 2**4 = 16
+        # tuples; an explicit level is not probed and not guarded.
+        monkeypatch.setattr(codes_mod, "ENUMERATION_GUARD", 4)
+        matrix = BitMatrix.from_strings(_BLOCKS_3)
+        with pytest.raises(ValueError, match=r"more than 2\*\*4 row tuples .*--level"):
+            TriorthogonalMatrix.from_matrix(matrix)
+        assert TriorthogonalMatrix.from_matrix(matrix, level=6).level == 6
+
 
 class TestBuildCode:
     def test_builtin_parameters(self, builtin_code):
@@ -144,6 +184,19 @@ class TestBuildCode:
             assert combined.rank == code.z_stabilizers.rank
             for z in code.z_stabilizers.rows:
                 assert BitMatrix(combined.rows + (z,), code.n).rank == combined.rank
+
+    def test_quotient_reps_match_rank_growth_choice(
+        self, builtin_code, d2_code, small10_code, small8_code
+    ):
+        # Each [[15,1,3]] column three times over is still triorthogonal.
+        repeated = [
+            "".join(c * 3 for c in row.to_string()) for row in builtin_15_1_3().matrix.rows
+        ]
+        wide = build_code(TriorthogonalMatrix.from_matrix(BitMatrix.from_strings(repeated)))
+        assert wide.n == 45
+        for code in (builtin_code, d2_code, small10_code, small8_code, wide):
+            reps = [pair.z_part.value for pair in code.gauge_pairs]
+            assert reps == _rank_growth_reps(code)
 
     def test_k2_search_hit_builds_cleanly(self):
         m = search_triorthogonal(n=12, k=2, m_even=2, budget=20000, seed=0)

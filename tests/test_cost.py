@@ -333,7 +333,7 @@ class TestCostCurve:
         rows = cost_curve(default_menu(), [1e-13], 1e-2)
         text = render_cost_curve_csv(rows)
         lines = text.splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == "target_error,jones,jones_double,triortho_k_opt,k_star"
         assert lines[1] == "1e-13,505.08579328118884,,434.9499090845322,100"
 
     def test_csv_blank_row(self):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from triortho.codes import build_code
 from triortho.gf2 import BitVector
 from triortho.logical import (
     FAULT_LOCATIONS,
@@ -15,7 +16,9 @@ from triortho.logical import (
     SweepReport,
     _fault_universe,
     _apply_pauli,
+    _basis_coefficients,
     _generic_logical_state,
+    _hadamard_pair,
     _steane_round,
     ccz_via_toffoli_state,
     fault_tolerance_sweep,
@@ -38,6 +41,8 @@ from triortho.simulator import (
     superpose,
     tensor,
 )
+
+from conftest import SMALL8_ROWS, direct_sum
 
 
 def plus_state(code, sign=1.0):
@@ -443,6 +448,55 @@ class TestGaugeParities:
             moved = apply_gate(moved, "X", (q,))
         mixed = superpose([(complex(1.0), state), (complex(1.0), moved)])
         assert gauge_parities_of_state(mixed, small8_code) is None
+
+
+class TestHadamardPair:
+    @pytest.fixture(scope="class")
+    def k2_code(self):
+        # Two blocks of the 8-qubit code: two logical qubits.
+        return build_code(direct_sum(SMALL8_ROWS, 2))
+
+    def test_basis_labels_against_sign_pattern(self, k2_code):
+        # H on both logical qubits: |x> -> (1/2) sum_y (-1)^(x.y) |y>.
+        labels = list(itertools.product((0, 1), repeat=2))
+        for x in labels:
+            state, image = _hadamard_pair(k2_code, _basis_coefficients(x))
+            assert state.amps == prepare_logical(k2_code, x).amps
+            expected = superpose(
+                [
+                    (complex((-1) ** (x[0] * y[0] + x[1] * y[1])), prepare_logical(k2_code, y))
+                    for y in labels
+                ]
+            )
+            assert states_equal_up_to_global_phase(image, expected, tol=1e-12)
+
+    def test_image_of_image_is_the_state(self, k2_code):
+        coeffs = [1.0, 2j, -0.5, 1 + 1j]
+        state, image = _hadamard_pair(k2_code, coeffs)
+        walsh = [
+            sum(c * (-1) ** (x & y).bit_count() for x, c in enumerate(coeffs))
+            for y in range(4)
+        ]
+        again, back = _hadamard_pair(k2_code, walsh)
+        assert states_equal_up_to_global_phase(again, image, tol=1e-12)
+        assert states_equal_up_to_global_phase(back, state, tol=1e-12)
+
+    def test_plus_and_minus_map_to_basis_states(self, builtin_code):
+        for sign, label in ((1.0, (0,)), (-1.0, (1,))):
+            state, image = _hadamard_pair(builtin_code, [1.0, sign])
+            assert states_equal_up_to_global_phase(state, plus_state(builtin_code, sign))
+            assert image.amps == prepare_logical(builtin_code, label).amps
+
+    def test_gauge_bits_stay_on_the_state_only(self, small8_code):
+        label = LogicalBasisLabel.of((1,), (1,))
+        state, image = _hadamard_pair(small8_code, _basis_coefficients(label.bits), (1,))
+        assert state.amps == prepare_logical(small8_code, label).amps
+        assert gauge_parities_of_state(state, small8_code) == (1,)
+        assert gauge_parities_of_state(image, small8_code) == (0,)
+
+    def test_coefficient_count_must_match_k(self, builtin_code):
+        with pytest.raises(ValueError, match=r"4 coefficients for 2\*\*1 logical labels"):
+            _hadamard_pair(builtin_code, _basis_coefficients((1, 0)))
 
 
 class TestFaultToleranceSweep:
