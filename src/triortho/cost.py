@@ -5,24 +5,26 @@ A protocol consumes ``inputs_per_output`` states of ``input_kind`` at error
 succeeding with probability ``success_poly(p)``.  Stacks chain protocols
 whose kinds match, starting from physical T states; the expected T count
 multiplies the input counts and divides by every success probability along
-the way.  The optimizer searches all kind-consistent stacks up to a depth
-bound, pruning states that another state beats on both error and cost (all
-menu polynomials are monotone on [0, 1], so dominated states stay
-dominated).
+the way.  The search expands every kind-consistent stack up to a depth
+bound, pruning states that another state of their kind beats on both error
+and cost (all menu polynomials are monotone on [0, 1], so dominated states
+stay dominated), and skips protocols whose output kind cannot reach a
+deliverable kind in the levels left.  The target error only selects among
+the expanded stacks, so ``cost_curve`` expands each family menu once.
 
-Kinds encode error structure, not just state type.  The Toffoli-level
-triorthogonal protocol's quadratic formula assumes inputs whose error is
-spread uniformly over the seven nontrivial classes; its own outputs
-concentrate the surviving error on specific classes, so they are labeled
-``toffoli_distilled`` and cannot legally feed the same formula again.
-Both Toffoli kinds count as deliverables.
+Kinds encode error structure, not just state type: the Toffoli-level
+triorthogonal formula assumes input error spread uniformly over the seven
+nontrivial classes, which its own outputs violate, so they are labeled
+``toffoli_distilled`` and cannot feed it again.  Both Toffoli kinds are
+deliverables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "DELIVERABLE_KINDS",
@@ -69,8 +71,13 @@ class ProtocolSpec:
     param_k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.inputs_per_output <= 0:
-            raise ValueError(f"{self.name}: inputs_per_output must be positive")
+        if not 0.0 < self.inputs_per_output < math.inf:
+            raise ValueError(f"{self.name}: inputs_per_output must be positive and finite")
+        for coeff, degree in self.error_poly + self.success_poly:
+            if not (math.isfinite(coeff) and degree >= 0 and degree % 1 == 0):
+                raise ValueError(f"{self.name}: bad polynomial term {coeff!r} p^{degree!r}")
+        if self.param_k is not None and not isinstance(self.param_k, int):
+            raise ValueError(f"{self.name}: k must be an integer, got {self.param_k!r}")
         if self.output_error(0.0) != 0.0:
             raise ValueError(f"{self.name}: perfect inputs must give perfect outputs")
         if self.success_prob(0.0) != 1.0:
@@ -219,17 +226,20 @@ class InfeasibleTargetError(Exception):
         self.best_error = best_error
 
 
-@dataclass(frozen=True)
-class _State:
-    kind: str
+class _State(NamedTuple):
+    # One stack: its last level is ``spec`` applied to ``parent``'s output.
     error: float
     cost: float
-    levels: tuple[StackLevel, ...]
+    depth: int
+    kind: str
+    success: float
+    spec: Optional[ProtocolSpec]
+    parent: Optional["_State"]
 
 
 def _prune(states: list[_State]) -> list[_State]:
     # Keep the Pareto frontier in (error, cost), deterministically.
-    ordered = sorted(states, key=lambda s: (s.error, s.cost, len(s.levels)))
+    ordered = sorted(states, key=attrgetter("error", "cost", "depth"))
     kept: list[_State] = []
     best_cost = math.inf
     for st in ordered:
@@ -237,6 +247,70 @@ def _prune(states: list[_State]) -> list[_State]:
             kept.append(st)
             best_cost = st.cost
     return kept
+
+
+def _expand(menu: Sequence[ProtocolSpec], physical: float, max_depth: int) -> list[_State]:
+    # Every deliverable stack the pruned search reaches, in discovery order.
+    # need[kind]: fewest levels (< max_depth) to a deliverable kind.  A state
+    # that cannot deliver in the levels left is never built: it could only
+    # prune later states of its kind, which are just as hopeless.
+    need = dict.fromkeys(DELIVERABLE_KINDS, 0)
+    for levels in range(1, max_depth):
+        for spec in menu:
+            if need.get(spec.output_kind, levels) < levels:
+                need.setdefault(spec.input_kind, levels)
+    start = _State(physical, 1.0, 0, "T", 1.0, None, None)
+    frontier: dict[str, list[_State]] = {"T": [start]}
+    fresh = [start]
+    candidates: list[_State] = []
+    for depth in range(1, max_depth + 1):
+        usable: dict[str, list[ProtocolSpec]] = {}
+        for spec in menu:
+            if need.get(spec.output_kind, max_depth) <= max_depth - depth:
+                usable.setdefault(spec.input_kind, []).append(spec)
+        by_kind: dict[str, list[_State]] = {}
+        for st in fresh:
+            for spec in usable.get(st.kind, ()):
+                success = spec.success_prob(st.error)
+                if success <= 0.0:
+                    continue
+                error = spec.output_error(st.error)
+                cost = st.cost * spec.inputs_per_output / success
+                new = _State(error, cost, depth, spec.output_kind, success, spec, st)
+                by_kind.setdefault(new.kind, []).append(new)
+                if new.kind in DELIVERABLE_KINDS:
+                    candidates.append(new)
+        fresh = []
+        for kind, states in by_kind.items():
+            frontier[kind] = merged = _prune(frontier.get(kind, []) + states)
+            survivors = set(map(id, merged))
+            fresh.extend(s for s in states if id(s) in survivors)
+    return candidates
+
+
+def _chain(st: _State) -> list[_State]:
+    # The states of a stack, first level first.
+    return [] if st.parent is None else _chain(st.parent) + [st]
+
+
+def _select(candidates: list[_State], query: CostQuery) -> CostResult:
+    # The cheapest candidate meeting the query, by (cost, depth, names).
+    family = query.required_final_family
+    candidates = [st for st in candidates if family in (None, st.spec.family)]
+    feasible = [st for st in candidates if st.error <= query.target_error]
+    if not feasible:
+        best_error = min((st.error for st in candidates), default=None)
+        raise InfeasibleTargetError(
+            f"no stack of depth <= {query.max_depth} reaches {query.target_error:g}"
+            + (f" (best achieved {best_error:g})" if best_error is not None else ""),
+            best_error=best_error,
+        )
+    best = min(feasible, key=attrgetter("cost", "depth"))
+    ties = [st for st in feasible if st.cost == best.cost and st.depth == best.depth]
+    if len(ties) > 1:
+        best = min(ties, key=lambda st: tuple(s.spec.name for s in _chain(st)))
+    levels = tuple(StackLevel(s.spec, s.parent.error, s.error, s.success) for s in _chain(best))
+    return CostResult(expected_t_count=best.cost, achieved_error=best.error, levels=levels)
 
 
 def optimize_stack(query: CostQuery) -> CostResult:
@@ -248,74 +322,7 @@ def optimize_stack(query: CostQuery) -> CostResult:
     positive are discarded.  Raises InfeasibleTargetError when nothing
     within the depth bound reaches the target.
     """
-    start = _State(kind="T", error=query.physical_t_error, cost=1.0, levels=())
-    frontier: dict[str, list[_State]] = {"T": [start]}
-    fresh = [start]
-    candidates: list[_State] = []
-    best_error: Optional[float] = None
-
-    for _ in range(query.max_depth):
-        expanded: list[_State] = []
-        for st in fresh:
-            for spec in query.menu:
-                if spec.input_kind != st.kind:
-                    continue
-                success = spec.success_prob(st.error)
-                if success <= 0.0:
-                    continue
-                error = spec.output_error(st.error)
-                cost = st.cost * spec.inputs_per_output / success
-                expanded.append(
-                    _State(
-                        kind=spec.output_kind,
-                        error=error,
-                        cost=cost,
-                        levels=st.levels
-                        + (
-                            StackLevel(
-                                spec=spec,
-                                input_error=st.error,
-                                output_error=error,
-                                success_prob=success,
-                            ),
-                        ),
-                    )
-                )
-        fresh = []
-        for st in expanded:
-            if st.kind in DELIVERABLE_KINDS:
-                if (
-                    query.required_final_family is None
-                    or st.levels[-1].spec.family == query.required_final_family
-                ):
-                    candidates.append(st)
-                    if best_error is None or st.error < best_error:
-                        best_error = st.error
-        by_kind: dict[str, list[_State]] = {}
-        for st in expanded:
-            by_kind.setdefault(st.kind, []).append(st)
-        for kind, states in by_kind.items():
-            merged = _prune(frontier.get(kind, []) + states)
-            survivors = set(id(s) for s in merged)
-            fresh.extend(s for s in states if id(s) in survivors)
-            frontier[kind] = merged
-        if not fresh:
-            break
-
-    feasible = [st for st in candidates if st.error <= query.target_error]
-    if not feasible:
-        raise InfeasibleTargetError(
-            f"no stack of depth <= {query.max_depth} reaches {query.target_error:g}"
-            + (f" (best achieved {best_error:g})" if best_error is not None else ""),
-            best_error=best_error,
-        )
-    best = min(
-        feasible,
-        key=lambda s: (s.cost, len(s.levels), tuple(lv.spec.name for lv in s.levels)),
-    )
-    return CostResult(
-        expected_t_count=best.cost, achieved_error=best.error, levels=best.levels
-    )
+    return _select(_expand(query.menu, query.physical_t_error, query.max_depth), query)
 
 
 @dataclass(frozen=True)
@@ -328,38 +335,6 @@ class CurveRow:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(CurveRow))
-
-
-def _family_cost(
-    menu: Sequence[ProtocolSpec],
-    family: str,
-    target: float,
-    physical: float,
-    max_depth: int,
-) -> Optional[CostResult]:
-    if family == "triortho":
-        # The final triorthogonal level may sit on any Toffoli source.
-        chosen = tuple(menu)
-    else:
-        chosen = tuple(
-            spec
-            for spec in menu
-            if (spec.input_kind == "T" and spec.output_kind == "T") or spec.family == family
-        )
-    if not any(spec.family == family for spec in chosen):
-        return None
-    try:
-        return optimize_stack(
-            CostQuery(
-                target_error=target,
-                physical_t_error=physical,
-                menu=chosen,
-                max_depth=max_depth,
-                required_final_family=family,
-            )
-        )
-    except InfeasibleTargetError:
-        return None
 
 
 def cost_curve(
@@ -376,22 +351,41 @@ def cost_curve(
     k.  Missing families and infeasible targets leave blank cells.  No
     entry of ``default_menu`` has the ``jones_double`` family, so that
     column is blank for the default menu; a menu (``--menu`` on the
-    command line) with a ``jones_double`` entry fills it.
+    command line) with a ``jones_double`` entry fills it.  Each cell is
+    ``optimize_stack`` with that family required last, but the expansion
+    ignores the target, so it runs once per distinct family menu (twice for
+    the default menu) and each cell only selects among its stacks.
     """
+    families = ("jones", "jones_double", "triortho")
+    menus = {
+        family: tuple(
+            spec
+            for spec in menu
+            if family == "triortho"
+            or (spec.input_kind == "T" and spec.output_kind == "T")
+            or spec.family == family
+        )
+        for family in families
+    }
+    expansions: dict[tuple[ProtocolSpec, ...], list[_State]] = {}
+
+    def cell(family: str, target: float) -> Optional[CostResult]:
+        chosen = menus[family]
+        if not any(spec.family == family for spec in chosen):
+            return None
+        query = CostQuery(target, physical_t_error, chosen, max_depth, family)
+        if chosen not in expansions:
+            expansions[chosen] = _expand(chosen, physical_t_error, max_depth)
+        try:
+            return _select(expansions[chosen], query)
+        except InfeasibleTargetError:
+            return None
+
     rows = []
     for target in targets:
-        jones = _family_cost(menu, "jones", target, physical_t_error, max_depth)
-        double = _family_cost(menu, "jones_double", target, physical_t_error, max_depth)
-        tri = _family_cost(menu, "triortho", target, physical_t_error, max_depth)
-        rows.append(
-            CurveRow(
-                target_error=target,
-                jones=jones.expected_t_count if jones else None,
-                jones_double=double.expected_t_count if double else None,
-                triortho_k_opt=tri.expected_t_count if tri else None,
-                k_star=tri.k_star if tri else None,
-            )
-        )
+        jones, double, tri = (cell(family, target) for family in families)
+        costs = (result and result.expected_t_count for result in (jones, double, tri))
+        rows.append(CurveRow(target, *costs, tri and tri.k_star))
     return rows
 
 
@@ -422,26 +416,32 @@ def menu_to_json(menu: Sequence[ProtocolSpec]) -> list[dict]:
     return out
 
 
+def _whole(value: object) -> object:
+    # JSON may write 2 as 2.0; other values go to ProtocolSpec, which rejects them.
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def menu_from_json(data: Sequence[dict]) -> list[ProtocolSpec]:
     menu = []
     for entry in data:
         try:
+            name = str(entry["name"])
             kind = entry["kind"]
             if "->" not in kind:
-                raise ValueError(f"kind must look like 'T->toffoli', got {kind!r}")
+                raise ValueError(f"{name}: kind must look like 'T->toffoli', got {kind!r}")
             input_kind, output_kind = kind.split("->", 1)
             menu.append(
                 ProtocolSpec(
-                    name=str(entry["name"]),
+                    name=name,
                     inputs_per_output=float(entry["inputs_per_output"]),
-                    error_poly=tuple((float(c), int(d)) for c, d in entry["error_poly"]),
-                    success_poly=tuple((float(c), int(d)) for c, d in entry["success_poly"]),
+                    error_poly=tuple((float(c), _whole(d)) for c, d in entry["error_poly"]),
+                    success_poly=tuple((float(c), _whole(d)) for c, d in entry["success_poly"]),
                     input_kind=input_kind,
                     output_kind=output_kind,
                     family=str(entry.get("family", "")),
-                    param_k=int(entry["k"]) if "k" in entry else None,
+                    param_k=_whole(entry["k"]) if "k" in entry else None,
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed menu entry: {exc!r}") from exc
     return menu

@@ -161,6 +161,8 @@ def test_criterion_6_cost_headline_numbers(announce):
         )
         ratio = tri.expected_t_count / jones.expected_t_count
         anchor_ratio = 428.7 / 540.16
+        # k* equal to the menu's largest k means the optimum sits on the cap.
+        max_k = max(spec.param_k for spec in default_menu() if spec.family == "triortho")
         announce(
             "criterion 6 detail: "
             f"jones-only {jones.expected_t_count:.4f} vs 540.16 "
@@ -168,7 +170,7 @@ def test_criterion_6_cost_headline_numbers(announce):
             f"triortho {tri.expected_t_count:.4f} vs 428.7 "
             f"({100 * (tri.expected_t_count / 428.7 - 1):+.2f}%), "
             f"ratio {ratio:.4f} vs {anchor_ratio:.4f} "
-            f"({100 * (ratio - anchor_ratio):+.2f}pp), k*={tri.k_star}"
+            f"({100 * (ratio - anchor_ratio):+.2f}pp), k*={tri.k_star} (menu max k {max_k})"
         )
         assert abs(jones.expected_t_count - 540.16) / 540.16 <= 0.15
         assert abs(tri.expected_t_count - 428.7) / 428.7 <= 0.15

@@ -382,6 +382,18 @@ class TestCostCurve:
         assert code == 0
         assert out.splitlines()[1] == "1e-13,505.08579328118884,,,"
 
+    def test_menu_negative_degree_is_an_error(self, capsys, tmp_path):
+        from triortho.cost import jones_toffoli, menu_to_json
+
+        entry = menu_to_json([jones_toffoli()])[0]
+        entry["error_poly"] = [[28.0, -1]]
+        path = tmp_path / "menu.json"
+        path.write_text(json.dumps([entry]))
+        code, out, err = run(capsys, ["cost-curve", "--targets", "1e-13", "--menu", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: jones-toffoli: bad polynomial term 28.0 p^-1\n"
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

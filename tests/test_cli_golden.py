@@ -23,6 +23,8 @@ TOLERATED = ["--fault", "cnot_data:X:7", "--fault", "measurement:FLIP:4"]
 # Two aliased data errors decode into a logical X on the |+> input.
 UNTOLERATED = ["--input", "+", "--fault", "data_post_h:X:0", "--fault", "data_post_h:X:1"]
 COST = ["cost-curve", "--targets", "1e-10,1e-13"]
+# No --targets: the 15-target default grid, 1e-6 down to 1e-20.
+COST_DEFAULT = ["cost-curve"]
 
 # name -> (argv without --format, exit code)
 CASES = {
@@ -31,6 +33,7 @@ CASES = {
     "inject_tolerated": (INJECT + TOLERATED, 0),
     "inject_untolerated": (INJECT + UNTOLERATED, 1),
     "cost_curve": (COST, 0),
+    "cost_curve_default": (COST_DEFAULT, 0),
 }
 
 FORMATS = ("text", "json")

@@ -1,14 +1,19 @@
 """Distillation stack cost model and optimizer."""
 
+import dataclasses
 import itertools
+import json
+import math
 import random
 
 import pytest
 
+from triortho import cost as cost_mod
 from triortho.cost import (
     CSV_HEADER,
     DELIVERABLE_KINDS,
     CostQuery,
+    CurveRow,
     InfeasibleTargetError,
     ProtocolSpec,
     cost_curve,
@@ -22,6 +27,113 @@ from triortho.cost import (
     triorthogonal_t_level,
     triorthogonal_top_level,
 )
+
+
+FAMILIES = ("jones", "jones_double", "triortho")
+
+
+def family_menu(menu, family):
+    # The restriction cost_curve documents for each column.
+    if family == "triortho":
+        return tuple(menu)
+    return tuple(
+        spec
+        for spec in menu
+        if (spec.input_kind == "T" and spec.output_kind == "T") or spec.family == family
+    )
+
+
+def brute_force(query):
+    """Exhaustive stack enumeration: ((cost, depth, names), error) of the
+    best feasible stack or None, and the best deliverable error or None."""
+    best = None
+    best_error = None
+    for depth in range(1, query.max_depth + 1):
+        for combo in itertools.product(query.menu, repeat=depth):
+            kind, error, cost = "T", query.physical_t_error, 1.0
+            names = []
+            feasible_chain = True
+            for spec in combo:
+                if spec.input_kind != kind:
+                    feasible_chain = False
+                    break
+                success = spec.success_prob(error)
+                if success <= 0.0:
+                    feasible_chain = False
+                    break
+                cost = cost * spec.inputs_per_output / success
+                error = spec.output_error(error)
+                kind = spec.output_kind
+                names.append(spec.name)
+            if not feasible_chain or kind not in DELIVERABLE_KINDS:
+                continue
+            family = query.required_final_family
+            if family is not None and combo[-1].family != family:
+                continue
+            if best_error is None or error < best_error:
+                best_error = error
+            if error > query.target_error:
+                continue
+            key = (cost, len(combo), tuple(names))
+            if best is None or key < best[0]:
+                best = (key, error)
+    return best, best_error
+
+
+OUTPUT_KINDS = ("T", "toffoli", "toffoli", "toffoli_distilled", "A", "dead")
+
+
+def random_menu(rng, tag):
+    """Up to four random specs plus, sometimes, a renamed twin.
+
+    "A" reaches a deliverable only through another level, "dead" never
+    does (no spec reads it), and no spec reads toffoli_distilled, so a
+    twin with that output ties its original only in the final selection,
+    where the name chain breaks the tie.
+    """
+    menu = []
+    for i in range(rng.randint(1, 4)):
+        menu.append(
+            ProtocolSpec(
+                name=f"{tag}-{i}",
+                inputs_per_output=rng.uniform(1.5, 16.0),
+                error_poly=((rng.uniform(0.5, 40.0), rng.choice([2, 3])),),
+                success_poly=((1.0, 0), (-rng.uniform(0.0, 20.0), 1)),
+                input_kind=rng.choice(["T", "T", "T", "toffoli", "A"]),
+                output_kind=rng.choice(OUTPUT_KINDS),
+                family=rng.choice(["t", "jones", "jones_double", "triortho", ""]),
+            )
+        )
+    finals = [spec for spec in menu if spec.output_kind == "toffoli_distilled"]
+    if finals and rng.random() < 0.5:
+        original = rng.choice(finals)
+        twin = dataclasses.replace(original, name=f"{tag}-twin")
+        menu.insert(rng.randint(0, len(menu)), twin)
+    return menu
+
+
+def assert_matches_oracle(query, expected, expected_best, got):
+    """``got`` is optimize_stack's result or its InfeasibleTargetError."""
+    if isinstance(got, InfeasibleTargetError):
+        assert expected is None
+        assert got.best_error == expected_best
+        message = f"no stack of depth <= {query.max_depth} reaches {query.target_error:g}"
+        if expected_best is not None:
+            message += f" (best achieved {expected_best:g})"
+        assert str(got) == message
+    else:
+        assert expected is not None
+        (cost, depth, names), error = expected
+        assert got.expected_t_count == cost
+        assert got.achieved_error == error
+        assert tuple(lv.spec.name for lv in got.levels) == names
+
+
+def search(query):
+    try:
+        return optimize_stack(query)
+    except InfeasibleTargetError as err:
+        return err
 
 
 class TestProtocolSpec:
@@ -229,73 +341,46 @@ class TestOptimizer:
         assert ideal.expected_t_count <= optimize_stack(query).expected_t_count
 
     def test_matches_brute_force_on_random_menus(self):
-        # Exhaustive stack enumeration is the oracle; the optimizer's
-        # Pareto pruning must never change the answer.
-        def brute_force(query):
-            menu = query.menu
-            best = None
-            best_error = None
-            for depth in range(1, query.max_depth + 1):
-                for combo in itertools.product(menu, repeat=depth):
-                    kind, error, cost = "T", query.physical_t_error, 1.0
-                    names = []
-                    feasible_chain = True
-                    for spec in combo:
-                        if spec.input_kind != kind:
-                            feasible_chain = False
-                            break
-                        success = spec.success_prob(error)
-                        if success <= 0.0:
-                            feasible_chain = False
-                            break
-                        cost = cost * spec.inputs_per_output / success
-                        error = spec.output_error(error)
-                        kind = spec.output_kind
-                        names.append(spec.name)
-                    if not feasible_chain or kind not in DELIVERABLE_KINDS:
-                        continue
-                    if best_error is None or error < best_error:
-                        best_error = error
-                    if error > query.target_error:
-                        continue
-                    key = (cost, len(combo), tuple(names))
-                    if best is None or key < best[0]:
-                        best = (key, error)
-            return best, best_error
-
+        # Exhaustive stack enumeration is the oracle; neither the Pareto
+        # pruning nor the lookahead may change the answer or, for an
+        # infeasible target, the message and best error.
         rng = random.Random(0xC057)
-        kinds_pool = ["T", "toffoli", "toffoli_distilled"]
-        for trial in range(50):
-            menu = []
-            for i in range(rng.randint(1, 3)):
-                menu.append(
-                    ProtocolSpec(
-                        name=f"m{trial}-{i}",
-                        inputs_per_output=rng.uniform(1.5, 16.0),
-                        error_poly=((rng.uniform(0.5, 40.0), rng.choice([2, 3])),),
-                        success_poly=((1.0, 0), (-rng.uniform(0.0, 20.0), 1)),
-                        input_kind=rng.choice(["T", "T", "toffoli"]),
-                        output_kind=rng.choice(kinds_pool),
-                    )
-                )
+        for trial in range(120):
+            menu = random_menu(rng, f"m{trial}")
             query = CostQuery(
-                target_error=10.0 ** rng.uniform(-14, -3),
+                target_error=10.0 ** rng.uniform(-12, -2),
                 physical_t_error=1e-2,
                 menu=tuple(menu),
-                max_depth=rng.randint(1, 3),
+                max_depth=rng.randint(1, 5),
+                required_final_family=rng.choice([None, None, "jones", "triortho"]),
             )
             expected, expected_best = brute_force(query)
-            try:
-                got = optimize_stack(query)
-            except InfeasibleTargetError as err:
-                assert expected is None
-                assert err.best_error == expected_best
-            else:
-                assert expected is not None
-                (cost, depth, names), error = expected
-                assert got.expected_t_count == cost
-                assert got.achieved_error == error
-                assert tuple(lv.spec.name for lv in got.levels) == names
+            assert_matches_oracle(query, expected, expected_best, search(query))
+
+    def test_equal_cost_goes_to_smaller_name_chain(self):
+        b = ProtocolSpec("b", 8.0, ((28.0, 2),), ((1.0, 0), (-8.0, 1)), "T", "toffoli")
+        a = dataclasses.replace(b, name="a")
+        result = optimize_stack(CostQuery(1e-2, 1e-2, (b, a), max_depth=1))
+        assert [lv.spec.name for lv in result.levels] == ["a"]
+
+    def test_lookahead_skips_specs_that_cannot_deliver(self):
+        calls = []
+
+        class Spy(ProtocolSpec):
+            def success_prob(self, p):
+                calls.append(self.name)
+                return super().success_prob(p)
+
+        t_level = Spy("t-level", 2.0, ((1.0, 2),), ((1.0, 0),), "T", "T")
+        dead_end = Spy("dead-end", 2.0, ((1.0, 2),), ((1.0, 0),), "T", "dead")
+        dead_loop = Spy("dead-loop", 2.0, ((1.0, 2),), ((1.0, 0),), "dead", "dead")
+        calls.clear()
+        menu = (t_level, dead_end, dead_loop, jones_toffoli())
+        optimize_stack(CostQuery(1e-3, 1e-2, menu, max_depth=3))
+        assert "dead-end" not in calls and "dead-loop" not in calls
+        # Levels 1 and 2 each expand one T state; at level 3 a T output
+        # could no longer become a Toffoli.
+        assert calls.count("t-level") == 2
 
 
 class TestCostCurve:
@@ -336,6 +421,86 @@ class TestCostCurve:
         assert lines[0] == CSV_HEADER == "target_error,jones,jones_double,triortho_k_opt,k_star"
         assert lines[1] == "1e-13,505.08579328118884,,434.9499090845322,100"
 
+    def test_cells_match_per_cell_search_and_brute_force(self):
+        # Each cell equals optimize_stack on its family's menu with the
+        # family required last, and the exhaustive oracle agrees.
+        rng = random.Random(0xC0C0)
+        checked = 0
+        for trial in range(60):
+            menu = random_menu(rng, f"c{trial}")
+            if trial % 3 == 0:
+                menu.append(
+                    ProtocolSpec(
+                        name=f"c{trial}-double",
+                        inputs_per_output=12.0,
+                        error_poly=((9.0, 2),),
+                        success_poly=((1.0, 0), (-12.0, 1)),
+                        input_kind="T",
+                        output_kind="toffoli",
+                        family="jones_double",
+                    )
+                )
+            targets = sorted(10.0 ** rng.uniform(-14, -3) for _ in range(3))
+            depth = rng.randint(1, 5)
+            rows = cost_curve(menu, targets, 1e-2, max_depth=depth)
+            for target, row in zip(targets, rows):
+                assert row.target_error == target
+                cells = {"jones": row.jones, "jones_double": row.jones_double}
+                cells["triortho"] = row.triortho_k_opt
+                for family in FAMILIES:
+                    chosen = family_menu(menu, family)
+                    if not any(spec.family == family for spec in chosen):
+                        assert cells[family] is None
+                        continue
+                    query = CostQuery(target, 1e-2, chosen, depth, family)
+                    got = search(query)
+                    assert_matches_oracle(query, *brute_force(query), got)
+                    if isinstance(got, InfeasibleTargetError):
+                        assert cells[family] is None
+                    else:
+                        checked += 1
+                        assert cells[family] == got.expected_t_count
+                        if family == "triortho":
+                            assert row.k_star == got.k_star
+        assert checked > 20
+
+    def test_expands_once_per_distinct_family_menu(self, monkeypatch):
+        menus = []
+        expand = cost_mod._expand
+
+        def counting(menu, physical, max_depth):
+            menus.append(menu)
+            return expand(menu, physical, max_depth)
+
+        monkeypatch.setattr(cost_mod, "_expand", counting)
+        grid = [10.0**-e for e in range(6, 21)]
+        full = default_menu()
+        # The jones menu and the full menu; jones_double has no entry.
+        cost_curve(full, grid, 1e-2)
+        assert sorted(map(len, menus)) == [52, 102]
+        # A T-level triortho entry makes the jones menu the full menu.
+        menus.clear()
+        t_level = dataclasses.replace(triorthogonal_t_level(4), family="triortho")
+        rows = cost_curve([fifteen_to_one(), jones_toffoli(), t_level], grid, 1e-2)
+        assert len(menus) == 1
+        assert all(row.jones is not None and row.triortho_k_opt is None for row in rows[:3])
+        # No family has an entry: nothing is expanded.
+        menus.clear()
+        rows = cost_curve([fifteen_to_one()], grid, 1e-2)
+        assert menus == []
+        assert rows == [CurveRow(target, None, None, None, None) for target in grid]
+
+    def test_cell_queries_still_validate(self):
+        with pytest.raises(ValueError, match="target_error"):
+            cost_curve(default_menu(), [1e-13, 2e-2], 1e-2)
+        with pytest.raises(ValueError, match="physical_t_error"):
+            cost_curve(default_menu(), [1e-13], 0.0)
+        with pytest.raises(ValueError, match="max_depth"):
+            cost_curve(default_menu(), [1e-13], 1e-2, max_depth=0)
+        # A menu with no family entry queries no cell, so nothing is checked.
+        rows = cost_curve([fifteen_to_one()], [2e-2], 1e-2)
+        assert rows == [CurveRow(2e-2, None, None, None, None)]
+
     def test_csv_blank_row(self):
         rows = cost_curve(default_menu(), [1e-9], 1e-2, max_depth=1)
         assert render_cost_curve_csv(rows).splitlines()[1] == "1e-09,,,,"
@@ -359,6 +524,33 @@ class TestMenuJson:
             menu_from_json([entry])
         with pytest.raises(ValueError):
             menu_from_json([{"name": "stub"}])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("error_poly", [[28.0, -1]]),
+            ("error_poly", [[28.0, 2.7]]),
+            ("error_poly", [[math.inf, 2]]),
+            ("success_poly", [[1.0, 0], [math.nan, 1]]),
+            ("inputs_per_output", math.inf),
+            ("inputs_per_output", math.nan),
+            ("k", 3.9),
+        ],
+    )
+    def test_bad_numbers_rejected_naming_entry(self, field, value):
+        entry = menu_to_json([jones_toffoli()])[0]
+        entry[field] = value
+        # Through JSON text, as the command line reads it.
+        with pytest.raises(ValueError, match="jones-toffoli"):
+            menu_from_json(json.loads(json.dumps([entry])))
+
+    def test_integral_floats_accepted(self):
+        entry = menu_to_json([triorthogonal_top_level(4)])[0]
+        entry["error_poly"] = [[c, float(d)] for c, d in entry["error_poly"]]
+        entry["k"] = 4.0
+        (spec,) = menu_from_json([entry])
+        assert spec == triorthogonal_top_level(4)
+        assert repr(spec) == repr(triorthogonal_top_level(4))
 
     def test_custom_entry(self):
         data = [
