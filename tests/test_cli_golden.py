@@ -15,7 +15,8 @@ import pytest
 
 from triortho.cli import main
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "cli_golden"
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+GOLDEN_DIR = DATA_DIR / "cli_golden"
 
 SIMULATE = ["simulate-hadamard", "--builtin", "15-1-3", "--seeds", "3"]
 INJECT = ["inject-faults", "--builtin", "15-1-3"]
@@ -25,6 +26,11 @@ UNTOLERATED = ["--input", "+", "--fault", "data_post_h:X:0", "--fault", "data_po
 COST = ["cost-curve", "--targets", "1e-10,1e-13"]
 # No --targets: the 15-target default grid, 1e-6 down to 1e-20.
 COST_DEFAULT = ["cost-curve"]
+# d2_matrix.txt holds conftest's D2_ROWS; the model has non-uniform class weights.
+DISTILL = [
+    "distill", "--file", str(DATA_DIR / "d2_matrix.txt"),
+    "--model", str(DATA_DIR / "distill_model.json"), "--seed", "7", "--trials", "20000",
+]
 
 # name -> (argv without --format, exit code)
 CASES = {
@@ -34,6 +40,7 @@ CASES = {
     "inject_untolerated": (INJECT + UNTOLERATED, 1),
     "cost_curve": (COST, 0),
     "cost_curve_default": (COST_DEFAULT, 0),
+    "distill": (DISTILL, 0),
 }
 
 FORMATS = ("text", "json")
