@@ -326,11 +326,9 @@ def cmd_distill(args: argparse.Namespace) -> int:
     if args.out:
         _atomic_write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
     if args.per_trial:
-        lines = ["trial,accepted,logical_failure"]
-        flags = stats.trial_flags
-        for i in range(stats.trials):
-            lines.append(f"{i},{int(flags[i, 0])},{int(flags[i, 1])}")
-        _atomic_write_text(args.per_trial, "\n".join(lines) + "\n")
+        accepted, failed = stats.trial_flags.T.astype(int).tolist()
+        rows = map("{},{},{}\n".format, range(stats.trials), accepted, failed)
+        _atomic_write_text(args.per_trial, "".join(["trial,accepted,logical_failure\n", *rows]))
     return 0
 
 

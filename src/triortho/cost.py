@@ -238,7 +238,8 @@ class _State(NamedTuple):
 
 
 def _prune(states: list[_State]) -> list[_State]:
-    # Keep the Pareto frontier in (error, cost), deterministically.
+    # Keep the Pareto frontier in (error, cost), deterministically: of
+    # states equal in (error, cost, depth), the smallest name chain.
     ordered = sorted(states, key=attrgetter("error", "cost", "depth"))
     kept: list[_State] = []
     best_cost = math.inf
@@ -246,6 +247,14 @@ def _prune(states: list[_State]) -> list[_State]:
         if st.cost < best_cost:
             kept.append(st)
             best_cost = st.cost
+        elif (
+            kept
+            and st.error == kept[-1].error
+            and st.cost == best_cost
+            and st.depth == kept[-1].depth
+            and _names(st) < _names(kept[-1])
+        ):
+            kept[-1] = st
     return kept
 
 
@@ -293,6 +302,10 @@ def _chain(st: _State) -> list[_State]:
     return [] if st.parent is None else _chain(st.parent) + [st]
 
 
+def _names(st: _State) -> tuple[str, ...]:
+    return tuple(s.spec.name for s in _chain(st))
+
+
 def _select(candidates: list[_State], query: CostQuery) -> CostResult:
     # The cheapest candidate meeting the query, by (cost, depth, names).
     family = query.required_final_family
@@ -308,7 +321,7 @@ def _select(candidates: list[_State], query: CostQuery) -> CostResult:
     best = min(feasible, key=attrgetter("cost", "depth"))
     ties = [st for st in feasible if st.cost == best.cost and st.depth == best.depth]
     if len(ties) > 1:
-        best = min(ties, key=lambda st: tuple(s.spec.name for s in _chain(st)))
+        best = min(ties, key=_names)
     levels = tuple(StackLevel(s.spec, s.parent.error, s.error, s.success) for s in _chain(best))
     return CostResult(expected_t_count=best.cost, achieved_error=best.error, levels=levels)
 

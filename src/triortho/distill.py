@@ -8,14 +8,19 @@ block 3 only.  Per block, the Z patterns of all faulty sites accumulate by
 XOR.  A run is accepted when every block's pattern commutes with every X
 stabilizer, and an accepted pattern flips logical output ``j`` of a block
 exactly when its overlap with odd row ``j`` is odd.
+
+Both tests are parities, so they are linear in the fault set: each
+(site, class) fault has one signature, its even-row parities (syndrome
+bits) and odd-row parities (logical bits) in every block the class hits,
+and a fault set's signature is the XOR of its members'.  ``propagate``,
+``enumerate_order2`` and ``monte_carlo`` all read that one table.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,10 +41,9 @@ __all__ = [
 NUM_CLASSES = 7
 
 MC_CHUNK = 1 << 16
-
-
-def _class_hits_block(cls: int, block: int) -> bool:
-    return bool((cls >> (2 - block)) & 1)
+# Failed sites handled at once by monte_carlo, which bounds its memory at
+# large p.
+MC_SLICE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -93,39 +97,59 @@ class DistillOutcome:
         return any(any(bits) for bits in self.logical_error)
 
 
-def _block_patterns(n: int, injected: Sequence[tuple[int, int]]) -> list[int]:
-    patterns = [0, 0, 0]
-    for site, cls in injected:
-        if not 0 <= site < n:
-            raise ValueError(f"site {site} out of range for {n} sites")
-        if not 1 <= cls <= NUM_CLASSES:
-            raise ValueError(f"class must be 1..7, got {cls}")
-        for b in range(3):
-            if _class_hits_block(cls, b):
-                patterns[b] ^= 1 << site
-    return patterns
+class _Signatures(NamedTuple):
+    # One int per site: its even-row parities (the syndrome part) in the low
+    # ``width - k`` bits, then its k odd-row parities (the logical part).
+    # Class c's signature at a site is that int times spread[c], which
+    # copies it into bits [b * width, (b + 1) * width) for each block b the
+    # class hits; ``syndrome`` and ``logical`` mask the two parts in all
+    # three blocks.
+    site: list[int]
+    width: int
+    k: int
+    spread: tuple[int, ...]
+    syndrome: int
+    logical: int
 
 
-def _row_ints(source: TriorthogonalMatrix) -> tuple[list[int], list[int]]:
-    # The even (check) and odd (output) rows as ints.
+def _signatures(source: TriorthogonalMatrix) -> _Signatures:
+    even = source.even_matrix().row_values()
     odd = [v.value for v in source.odd_vectors()]
     if not odd:
         raise ValueError("matrix has no odd rows, so distillation has no outputs")
-    return source.even_matrix().row_values(), odd
+    site = [0] * source.n
+    for bit, row in enumerate(even + odd):
+        while row:
+            low = row & -row
+            site[low.bit_length() - 1] |= 1 << bit
+            row ^= low
+    width = len(even) + len(odd)
+    spread = tuple(
+        sum(1 << (b * width) for b in range(3) if (cls >> (2 - b)) & 1)
+        for cls in range(NUM_CLASSES + 1)
+    )
+    every_block = ((1 << width) - 1) * spread[NUM_CLASSES]
+    syndrome = ((1 << len(even)) - 1) * spread[NUM_CLASSES]
+    return _Signatures(site, width, len(odd), spread, syndrome, every_block ^ syndrome)
 
 
 def propagate(source: TriorthogonalMatrix, injected: Sequence[tuple[int, int]]) -> DistillOutcome:
     """Propagate a set of (site, class) faults through one distillation run."""
-    even, odd = _row_ints(source)
-    patterns = _block_patterns(source.n, injected)
-    accepted = all(
-        ((pattern & row).bit_count() & 1) == 0 for pattern in patterns for row in even
-    )
+    table = _signatures(source)
+    total = 0
+    for site, cls in injected:
+        if not 0 <= site < source.n:
+            raise ValueError(f"site {site} out of range for {source.n} sites")
+        if not 1 <= cls <= NUM_CLASSES:
+            raise ValueError(f"class must be 1..7, got {cls}")
+        total ^= table.site[site] * table.spread[cls]
+    offset = table.width - table.k
     logical = tuple(
-        tuple((pattern & f).bit_count() & 1 for f in odd) for pattern in patterns
+        tuple((total >> (b * table.width + offset + j)) & 1 for j in range(table.k))
+        for b in range(3)
     )
     return DistillOutcome(
-        accepted=accepted, logical_error=logical, fault_sites=tuple(injected)
+        accepted=not (total & table.syndrome), logical_error=logical, fault_sites=tuple(injected)
     )
 
 
@@ -149,47 +173,39 @@ class CoefficientReport:
 
 def enumerate_order2(source: TriorthogonalMatrix, model: ErrorModel) -> CoefficientReport:
     """Count every two-fault combination that is accepted yet flips a
-    logical output, weighting each by its class probabilities."""
-    n = source.n
-    even, odd = _row_ints(source)
-    weights = model.class_weights
+    logical output, weighting each by its class probabilities.
 
-    singles: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for site in range(n):
-        per_site = []
+    A pair is accepted exactly when its two (site, class) signatures have
+    equal syndrome parts, and harmful when their logical parts differ.  So
+    the 7n singles are bucketed by syndrome part and paired only within a
+    bucket.  The events are then summed in (i, j, c1, c2) order, which fixes
+    the float ``coefficient`` and the insertion order of ``per_class``.
+    """
+    table = _signatures(source)
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    for i, sig in enumerate(table.site):
         for cls in range(1, NUM_CLASSES + 1):
-            patterns = _block_patterns(n, [(site, cls)])
-            syndrome = tuple(
-                (pattern & row).bit_count() & 1 for pattern in patterns for row in even
-            )
-            logical = tuple(
-                (pattern & f).bit_count() & 1 for pattern in patterns for f in odd
-            )
-            per_site.append((syndrome, logical))
-        singles.append(per_site)
-
+            full = sig * table.spread[cls]
+            buckets.setdefault(full & table.syndrome, []).append((i, cls, full & table.logical))
+    # Each bucket lists its singles by (site, class), so a later entry at
+    # another site has the larger site index.
+    events = sorted(
+        (i, j, c1, c2)
+        for entries in buckets.values()
+        for a, (i, c1, log1) in enumerate(entries)
+        for j, c2, log2 in entries[a + 1 :]
+        if j != i and log1 != log2
+    )
+    weights = model.class_weights
     coefficient = 0.0
-    pair_events = 0
-    identical = 0
     per_class: dict[tuple[int, int], int] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        for c1 in range(1, NUM_CLASSES + 1):
-            syn1, log1 = singles[i][c1 - 1]
-            for c2 in range(1, NUM_CLASSES + 1):
-                syn2, log2 = singles[j][c2 - 1]
-                if syn1 != syn2:
-                    continue
-                if not any(a ^ b for a, b in zip(log1, log2)):
-                    continue
-                pair_events += 1
-                coefficient += weights[c1 - 1] * weights[c2 - 1]
-                if c1 == c2:
-                    identical += 1
-                per_class[(c1, c2)] = per_class.get((c1, c2), 0) + 1
+    for _i, _j, c1, c2 in events:
+        coefficient += weights[c1 - 1] * weights[c2 - 1]
+        per_class[(c1, c2)] = per_class.get((c1, c2), 0) + 1
     return CoefficientReport(
         coefficient=coefficient,
-        pair_events=pair_events,
-        identical_class_events=identical,
+        pair_events=len(events),
+        identical_class_events=sum(c1 == c2 for _i, _j, c1, c2 in events),
         per_class=per_class,
     )
 
@@ -246,19 +262,31 @@ def monte_carlo(
 ) -> MonteCarloStats:
     """Sample distillation runs under the error model.
 
-    Vectorized over fixed-size chunks; a given (seed, trials) pair always
-    produces the same counts.  With ``collect_trials`` the per-trial
-    (accepted, logical-failure) flags are kept for logging.
+    Each chunk of up to ``MC_CHUNK`` trials draws which sites fail and, for
+    the failed sites only, their classes.  A trial's signature is the XOR
+    of its failed sites' (site, class) signatures, held as uint64 words, so
+    the work grows with the number of failures rather than with n.  A given
+    (seed, trials) pair always produces the same counts.  With
+    ``collect_trials`` the per-trial (accepted, logical-failure) flags are
+    kept for logging.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     n = source.n
-    rng = np.random.default_rng(seed)
-    # Shape (rows, n); with no even rows (0, n), which accepts every trial.
-    even, odd = (
-        np.array([[(r >> i) & 1 for i in range(n)] for r in rows], dtype=np.uint8).reshape(-1, n)
-        for rows in _row_ints(source)
+    table = _signatures(source)
+    n_words = -(-3 * table.width // 64)
+
+    def words(value: int) -> list[int]:
+        return [(value >> (64 * w)) & (2**64 - 1) for w in range(n_words)]
+
+    # signature[site, cls - 1] holds class cls's words at that site.
+    signature = np.array(
+        [[words(sig * spread) for spread in table.spread[1:]] for sig in table.site],
+        dtype=np.uint64,
     )
+    syndrome = np.array(words(table.syndrome), dtype=np.uint64)
+    logical = np.array(words(table.logical), dtype=np.uint64)
+    rng = np.random.default_rng(seed)
     cumulative = np.cumsum(np.asarray(model.class_weights, dtype=np.float64))
 
     accepted_total = 0
@@ -269,20 +297,21 @@ def monte_carlo(
         t = min(MC_CHUNK, trials - done)
         faulty = rng.random((t, n)) < model.p
         draws = rng.random((t, n))
-        # Class 0 marks a site that did not fail; only failed sites get a class.
-        classes = np.zeros((t, n), dtype=np.uint8)
-        classes[faulty] = np.minimum(
-            np.searchsorted(cumulative, draws[faulty], side="right"), NUM_CLASSES - 1
-        ) + 1
-        ok = np.ones(t, dtype=bool)
-        bad = np.zeros(t, dtype=bool)
-        for b in range(3):
-            hit = (classes >> (2 - b)) & 1
-            syndrome = (hit @ even.T) & 1
-            ok &= ~syndrome.any(axis=1)
-            logical = (hit @ odd.T) & 1
-            bad |= logical.any(axis=1)
-        fail = ok & bad
+        failed = np.flatnonzero(faulty)
+        acc = np.zeros((t, n_words), dtype=np.uint64)
+        # The failures come trial by trial.  Each slice XORs its runs, one
+        # per trial, into the accumulators; a trial split between slices
+        # gets both parts.
+        for lo in range(0, failed.size, MC_SLICE):
+            part = failed[lo : lo + MC_SLICE]
+            trial, site = np.divmod(part, n)
+            cls = np.minimum(
+                np.searchsorted(cumulative, draws.ravel()[part], side="right"), NUM_CLASSES - 1
+            )
+            starts = np.flatnonzero(np.diff(trial, prepend=-1))
+            acc[trial[starts]] ^= np.bitwise_xor.reduceat(signature[site, cls], starts, axis=0)
+        ok = ~(acc & syndrome).any(axis=1)
+        fail = ok & (acc & logical).any(axis=1)
         accepted_total += int(ok.sum())
         failure_total += int(fail.sum())
         if flags is not None:

@@ -363,6 +363,18 @@ class TestOptimizer:
         result = optimize_stack(CostQuery(1e-2, 1e-2, (b, a), max_depth=1))
         assert [lv.spec.name for lv in result.levels] == ["a"]
 
+    def test_intermediate_tie_goes_to_smaller_name_chain(self):
+        # Twin T -> T levels tie exactly in (error, cost, depth) before the
+        # Toffoli level; menu order must not pick the survivor.
+        b = dataclasses.replace(fifteen_to_one(), name="b")
+        a = dataclasses.replace(b, name="a")
+        for menu in ((b, a, jones_toffoli()), (a, b, jones_toffoli())):
+            query = CostQuery(1e-6, 1e-2, menu, max_depth=2)
+            result = optimize_stack(query)
+            assert [lv.spec.name for lv in result.levels] == ["a", "jones-toffoli"]
+            (key, _error), _best = brute_force(query)
+            assert key == (result.expected_t_count, 2, ("a", "jones-toffoli"))
+
     def test_lookahead_skips_specs_that_cannot_deliver(self):
         calls = []
 

@@ -1,14 +1,22 @@
 """Distillation error analysis: propagation, pair census, Monte Carlo."""
 
+import itertools
 import math
 import random
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import D2_ROWS, direct_sum, matrix_from_rows
 from triortho.codes import TriorthogonalMatrix
 from triortho.distill import (
+    MC_CHUNK,
+    NUM_CLASSES,
+    CoefficientReport,
     ErrorModel,
+    MonteCarloStats,
     enumerate_order2,
     monte_carlo,
     propagate,
@@ -19,6 +27,125 @@ from triortho.gf2 import BitMatrix, BitVector
 UNIFORM = ErrorModel.uniform(1e-2)
 
 PURE_CLASS_111 = ErrorModel(p=1e-2, class_weights=(0, 0, 0, 0, 0, 0, 1.0))
+
+SKEWED = ErrorModel(p=3e-2, class_weights=(0.25, 0.05, 0.1, 0.2, 0.1, 0.15, 0.15))
+
+# Three weight-1 outputs beside d2: their 21 singles share the zero
+# syndrome, so mixed-class pairs count and the census coefficient's last
+# bits depend on the order of summation.
+OUTPUTS3_D2_ROWS = tuple(f"{1 << (16 - i):017b}" for i in range(3)) + tuple(
+    "000" + row for row in D2_ROWS
+)
+
+
+def permuted(matrix, seed):
+    """The matrix with its columns moved by a seeded permutation."""
+    n = matrix.n
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return TriorthogonalMatrix.from_matrix(
+        BitMatrix(
+            [
+                BitVector.from_support([perm[q] for q in row.support()], n)
+                for row in matrix.matrix.rows
+            ]
+        )
+    )
+
+
+def _oracle_rows(source):
+    even = source.even_matrix().row_values()
+    odd = [v.value for v in source.odd_vectors()]
+    return even, odd
+
+
+def _oracle_block_patterns(n, injected):
+    patterns = [0, 0, 0]
+    for site, cls in injected:
+        for b in range(3):
+            if (cls >> (2 - b)) & 1:
+                patterns[b] ^= 1 << site
+    return patterns
+
+
+def oracle_enumerate_order2(source, model):
+    """The census by brute force: every site pair and class pair, with each
+    single's syndrome and logical flips read off its block patterns."""
+    n = source.n
+    even, odd = _oracle_rows(source)
+    weights = model.class_weights
+    singles = []
+    for site in range(n):
+        per_site = []
+        for cls in range(1, NUM_CLASSES + 1):
+            patterns = _oracle_block_patterns(n, [(site, cls)])
+            syndrome = tuple((p & row).bit_count() & 1 for p in patterns for row in even)
+            logical = tuple((p & f).bit_count() & 1 for p in patterns for f in odd)
+            per_site.append((syndrome, logical))
+        singles.append(per_site)
+    coefficient = 0.0
+    pair_events = 0
+    identical = 0
+    per_class = {}
+    for i, j in itertools.combinations(range(n), 2):
+        for c1 in range(1, NUM_CLASSES + 1):
+            syn1, log1 = singles[i][c1 - 1]
+            for c2 in range(1, NUM_CLASSES + 1):
+                syn2, log2 = singles[j][c2 - 1]
+                if syn1 != syn2 or log1 == log2:
+                    continue
+                pair_events += 1
+                coefficient += weights[c1 - 1] * weights[c2 - 1]
+                identical += c1 == c2
+                per_class[(c1, c2)] = per_class.get((c1, c2), 0) + 1
+    return CoefficientReport(coefficient, pair_events, identical, per_class)
+
+
+def oracle_monte_carlo(source, model, trials, seed):
+    """The sampler with dense per-block parity products: the same random
+    draws, then (t, n) @ (n, rows) matrix products for every block."""
+    n = source.n
+    rng = np.random.default_rng(seed)
+    even, odd = (
+        np.array([[(r >> i) & 1 for i in range(n)] for r in rows], dtype=np.uint8).reshape(-1, n)
+        for rows in _oracle_rows(source)
+    )
+    cumulative = np.cumsum(np.asarray(model.class_weights, dtype=np.float64))
+    flags = np.zeros((trials, 2), dtype=bool)
+    done = 0
+    while done < trials:
+        t = min(MC_CHUNK, trials - done)
+        faulty = rng.random((t, n)) < model.p
+        draws = rng.random((t, n))
+        classes = np.zeros((t, n), dtype=np.uint8)
+        classes[faulty] = np.minimum(
+            np.searchsorted(cumulative, draws[faulty], side="right"), NUM_CLASSES - 1
+        ) + 1
+        ok = np.ones(t, dtype=bool)
+        bad = np.zeros(t, dtype=bool)
+        for b in range(3):
+            hit = (classes >> (2 - b)) & 1
+            ok &= ~((hit @ even.T) & 1).any(axis=1)
+            bad |= ((hit @ odd.T) & 1).any(axis=1)
+        flags[done : done + t, 0] = ok
+        flags[done : done + t, 1] = ok & bad
+        done += t
+    return MonteCarloStats(trials, seed, int(flags[:, 0].sum()), int(flags[:, 1].sum()), flags)
+
+
+@pytest.fixture(scope="module")
+def oracle_fixtures(d2_matrix, small10_matrix, small8_matrix, builtin_matrix):
+    return {
+        "d2": d2_matrix,
+        "small10": small10_matrix,
+        "small8": small8_matrix,
+        "15-1-3": builtin_matrix,
+        # 6 copies: 24 rows per block, so block 2's signature straddles
+        # the first two uint64 words.
+        "d2x6-permuted": permuted(direct_sum(D2_ROWS, 6), 5),
+        "d2x8-permuted": permuted(direct_sum(D2_ROWS, 8), 1),
+        "outputs3+d2-permuted": permuted(matrix_from_rows(OUTPUTS3_D2_ROWS), 3),
+    }
 
 
 class TestErrorModel:
@@ -225,6 +352,62 @@ class TestMonteCarlo:
         assert data["accepted"] == stats.accepted
         assert data["failures"] == stats.failures
         assert data["acceptance_rate"] == stats.acceptance_rate
+
+
+ORACLE_MODELS = {
+    "uniform": UNIFORM,
+    "skewed": SKEWED,
+    "p0": ErrorModel.uniform(0.0),
+    "p1-class111": ErrorModel(p=1.0, class_weights=(0, 0, 0, 0, 0, 0, 1.0)),
+}
+
+
+class TestMonteCarloOracle:
+    # 70,000 trials span two MC_CHUNK chunks.
+    @pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize(
+        "name", ["d2", "small10", "15-1-3", "d2x6-permuted", "outputs3+d2-permuted"]
+    )
+    def test_matches_dense_sampler(self, oracle_fixtures, name, model):
+        source = oracle_fixtures[name]
+        stats = monte_carlo(source, ORACLE_MODELS[model], 70_000, seed=13, collect_trials=True)
+        expected = oracle_monte_carlo(source, ORACLE_MODELS[model], 70_000, seed=13)
+        assert (stats.accepted, stats.failures) == (expected.accepted, expected.failures)
+        assert np.array_equal(stats.trial_flags, expected.trial_flags)
+
+    def test_trials_split_between_slices(self, oracle_fixtures, monkeypatch):
+        # A 5-failure slice cuts most multi-failure trials in two.
+        monkeypatch.setattr("triortho.distill.MC_SLICE", 5)
+        source = oracle_fixtures["d2x6-permuted"]
+        model = ErrorModel(p=0.05, class_weights=SKEWED.class_weights)
+        stats = monte_carlo(source, model, 3_000, seed=4, collect_trials=True)
+        expected = oracle_monte_carlo(source, model, 3_000, seed=4)
+        assert np.array_equal(stats.trial_flags, expected.trial_flags)
+
+
+class TestCensusOracle:
+    @pytest.mark.parametrize("model", [UNIFORM, SKEWED], ids=["uniform", "skewed"])
+    @pytest.mark.parametrize(
+        "name", ["d2", "small10", "small8", "15-1-3", "d2x8-permuted", "outputs3+d2-permuted"]
+    )
+    def test_matches_all_pairs(self, oracle_fixtures, name, model):
+        source = oracle_fixtures[name]
+        report = enumerate_order2(source, model)
+        expected = oracle_enumerate_order2(source, model)
+        assert report == expected
+        assert report.coefficient.hex() == expected.coefficient.hex()
+        assert list(report.per_class) == list(expected.per_class)
+
+    def test_scales_to_21_copies(self):
+        # n = 294, the k = 21 direct sum: 49 harmful pairs per copy.
+        source = direct_sum(D2_ROWS, 21)
+        start = time.perf_counter()
+        report = enumerate_order2(source, SKEWED)
+        elapsed = time.perf_counter() - start
+        assert source.n == 294
+        assert report.pair_events == 21 * 49
+        assert report.identical_class_events == 21 * 49
+        assert elapsed < 0.5
 
 
 class TestNoOddRows:
