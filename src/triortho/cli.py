@@ -364,6 +364,17 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    # An argparse type: a bad value is a usage error naming the limit.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_source_args(parser: argparse.ArgumentParser, with_level: bool = False) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="matrix text file")
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-hadamard", help="run the measurement-based logical Hadamard")
     _add_source_args(p, with_level=True)
     p.add_argument("--input", default="0", help="logical input: bits, '+', or '-'")
-    p.add_argument("--seeds", type=int, default=1, help="number of seeded rounds")
+    p.add_argument("--seeds", type=_positive_int, default=1, help="number of seeded rounds")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_format(p)
     p.set_defaults(func=cmd_simulate_hadamard)

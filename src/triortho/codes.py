@@ -23,9 +23,15 @@ from .gf2 import (
     ENUMERATION_GUARD,
     BitMatrix,
     BitVector,
+    _check_rank,
+    _echelon_step,
+    _eliminate_ints,
     _enumerate_span_ints,
+    _parities,
+    _particular_ints,
     _rref_ints,
-    _solve_ints,
+    _transpose_ints,
+    _xor_rows,
     orthogonal_complement,
 )
 
@@ -187,7 +193,7 @@ class TriorthogonalCode:
     def x_syndrome_of(self, pattern: int) -> int:
         """Syndrome of an X error pattern: bit j is the parity against
         X-stabilizer basis row j."""
-        return _syndrome(self.g0_basis.row_values(), pattern)
+        return _parities(self.g0_basis.row_values(), pattern)
 
     def decode_x(self, syndrome: int) -> BitVector:
         """Minimum-weight X pattern with the given syndrome.
@@ -206,14 +212,6 @@ class TriorthogonalCode:
         return BitVector(pattern, self.n)
 
 
-def _syndrome(rows: list[int], pattern: int) -> int:
-    # Bit j is the overlap parity of the pattern with rows[j].
-    syndrome = 0
-    for j, row in enumerate(rows):
-        syndrome |= ((row & pattern).bit_count() & 1) << j
-    return syndrome
-
-
 def _build_decoder(g0_rows: list[int], n: int) -> dict[int, int]:
     """Map every syndrome to a minimum-weight X pattern.
 
@@ -226,7 +224,7 @@ def _build_decoder(g0_rows: list[int], n: int) -> dict[int, int]:
             f"decoder table needs 2**{len(g0_rows)} syndromes, above the limit "
             f"2**{_DECODER_LIMIT}"
         )
-    columns = [_syndrome(g0_rows, 1 << q) for q in range(n)]
+    columns = _transpose_ints(g0_rows, n)
     table = {0: 0}
     queue = [0]
     for syndrome in queue:
@@ -255,27 +253,19 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
     g0_reduced, _ = _rref_ints(even.row_values(), n)
     g0_basis = BitMatrix.from_ints(g0_reduced, n)
 
-    full_rank = matrix.rank
-    if full_rank != len(g0_reduced) + k:
+    # The matrix has rank n minus the rank of its orthogonal complement.
+    complement = orthogonal_complement(matrix)
+    if n - complement.row_count != len(g0_reduced) + k:
         raise ValueError(
             "odd rows are dependent modulo the even rows; logical operators collide"
         )
-
-    complement = orthogonal_complement(matrix)
 
     # Extend the even-row basis to a basis of the complement.  The new
     # directions represent the quotient carrying the gauge structure.  One
     # running echelon, keyed by lowest bit (the even-row pivots), keeps each
     # complement row that does not reduce to zero.
     echelon = {row & -row: row for row in g0_reduced}
-    quotient_reps: list[int] = []
-    for row in complement.row_values():
-        reduced = row
-        while reduced & -reduced in echelon:
-            reduced ^= echelon[reduced & -reduced]
-        if reduced:
-            echelon[reduced & -reduced] = reduced
-            quotient_reps.append(row)
+    quotient_reps = [row for row in complement.row_values() if _echelon_step(echelon, row)]
     g = len(quotient_reps)
     assert len(g0_reduced) + g == complement.row_count
 
@@ -284,40 +274,25 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
     # representatives into a dual basis, giving pairwise symplectic pairs.
     gauge_pairs: tuple[GaugePair, ...] = ()
     if g:
-        gram = []
-        for i in range(g):
-            row = 0
-            for j in range(g):
-                row |= ((quotient_reps[i] & quotient_reps[j]).bit_count() & 1) << j
-            gram.append(row)
+        gram = [_parities(quotient_reps, rep) for rep in quotient_reps]
         # Row-reduce [gram | I]: gram inverts exactly when its columns are
         # the first g pivots, and then the right half is the inverse.
         augmented = [row | 1 << (g + i) for i, row in enumerate(gram)]
         reduced, pivots = _rref_ints(augmented, 2 * g)
         if pivots[:g] != list(range(g)):
             raise ValueError("gauge pairing is degenerate; matrix is not self-consistent")
-        inverse = [row >> g for row in reduced]
-        x_parts = []
-        for i in range(g):
-            acc = 0
-            for j in range(g):
-                if (inverse[i] >> j) & 1:
-                    acc ^= quotient_reps[j]
-            x_parts.append(acc)
-        for i in range(g):
-            for j in range(g):
-                pairing = (x_parts[i] & quotient_reps[j]).bit_count() & 1
-                assert pairing == (1 if i == j else 0)
+        x_parts = [_xor_rows(quotient_reps, row >> g) for row in reduced]
+        for i, x in enumerate(x_parts):
+            assert _parities(quotient_reps, x) == 1 << i
         gauge_pairs = tuple(
             GaugePair(x_part=BitVector(x, n), z_part=BitVector(z, n))
             for x, z in zip(x_parts, quotient_reps)
         )
 
     logicals = source.odd_vectors()
-    for i, u in enumerate(logicals):
-        for j, v in enumerate(logicals):
-            expected = 1 if i == j else 0
-            assert u.dot(v) == expected
+    odd = [v.value for v in logicals]
+    for i, u in enumerate(odd):
+        assert _parities(odd, u) == 1 << i
 
     code = TriorthogonalCode(
         source=source,
@@ -350,11 +325,7 @@ def distances(code: TriorthogonalCode) -> tuple[int, int]:
     g0 = code.g0_basis.row_values()
     odd = [v.value for v in code.logical_x]
 
-    if len(g0) + len(odd) > ENUMERATION_GUARD:
-        raise ValueError(
-            f"row space of rank {len(g0) + len(odd)} exceeds enumeration guard "
-            f"2**{ENUMERATION_GUARD}"
-        )
+    _check_rank("row space", len(g0) + len(odd))
     d_x = n
     for shift in _enumerate_span_ints(odd):
         if shift == 0:
@@ -367,7 +338,7 @@ def distances(code: TriorthogonalCode) -> tuple[int, int]:
     # Bit i of columns[j]: whether row i of g0 + odd covers column j, so a
     # support's parities against every row are the XOR of its columns.  It
     # qualifies when every even-row bit is clear and some odd-row bit set.
-    columns = [sum(((row >> j) & 1) << i for i, row in enumerate(g0 + odd)) for j in range(n)]
+    columns = _transpose_ints(g0 + odd, n)
     even_mask = (1 << len(g0)) - 1
     for d_z in itertools.count(1):
         candidates = math.comb(n, d_z)
@@ -417,29 +388,21 @@ def search_triorthogonal(
     parities = [0] * m_even + [1] * k
 
     kept: list[int] = []
+    echelon: dict[int, int] = {}  # kept, keyed by lowest bit, to test rank growth
     stall = 0
     spent = 0
     while spent < budget:
-        parity = parities[len(kept)]
-        masks = [all_ones] + kept
-        rhs = [parity] + [0] * len(kept)
-        for a, b in itertools.combinations(kept, 2):
-            masks.append(a & b)
-            rhs.append(0)
-        solved = _solve_ints(masks, rhs, n)
+        # The row's weight parity, then even overlaps with every kept row
+        # and every kept pair: only the first right-hand side can be 1.
+        masks = [all_ones] + kept + [a & b for a, b in itertools.combinations(kept, 2)]
+        rows, checks, kernel = _eliminate_ints(masks, n)
+        particular = _particular_ints(rows, checks, parities[len(kept)])
         extended = False
-        if solved is not None:
-            particular, kernel = solved
+        if particular is not None:
             while spent < budget:
                 spent += 1
-                r = particular
-                if kernel:
-                    pick = rng.getrandbits(len(kernel))
-                    for i, vec in enumerate(kernel):
-                        if (pick >> i) & 1:
-                            r ^= vec
-                reduced, _ = _rref_ints(kept + [r], n)
-                if r and len(reduced) == len(kept) + 1:
+                r = particular ^ _xor_rows(kernel, rng.getrandbits(len(kernel)))
+                if _echelon_step(echelon, r):
                     kept.append(r)
                     extended = True
                     break
@@ -449,15 +412,15 @@ def search_triorthogonal(
                 if not kernel or stall >= min(50, 2 ** len(kernel)):
                     break
         if not extended:
-            kept = []
+            kept, echelon = [], {}
             stall = 0
-            if solved is None:
+            if particular is None:
                 spent += 1
             continue
         stall = 0
         if len(kept) == m_even + k:
             if _check_orthogonality_ints(kept, 3) is not None:
-                kept = []
+                kept, echelon = [], {}
                 continue
             return TriorthogonalMatrix.from_matrix(BitMatrix.from_ints(kept, n), level=3)
     return None

@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .codes import TriorthogonalMatrix
+from .gf2 import _transpose_ints
 
 __all__ = [
     "NUM_CLASSES",
@@ -117,12 +118,7 @@ def _signatures(source: TriorthogonalMatrix) -> _Signatures:
     odd = [v.value for v in source.odd_vectors()]
     if not odd:
         raise ValueError("matrix has no odd rows, so distillation has no outputs")
-    site = [0] * source.n
-    for bit, row in enumerate(even + odd):
-        while row:
-            low = row & -row
-            site[low.bit_length() - 1] |= 1 << bit
-            row ^= low
+    site = _transpose_ints(even + odd, source.n)
     width = len(even) + len(odd)
     spread = tuple(
         sum(1 << (b * width) for b in range(3) if (cls >> (2 - b)) & 1)

@@ -8,12 +8,16 @@ so ``BitVector.from_string("0110").value == 0b0110 == 6``.
 All operations that combine two vectors are length checked.  Callers that
 enumerate a span refuse ranks above ``ENUMERATION_GUARD``.
 
-Two private kernels on raw integer rows do every elimination in the
-package: ``_rref_ints`` gives the canonical basis of a row space, and
-``_solve_ints`` gives a particular solution plus a kernel basis of a linear
-system.  It reduces the system once with ``_eliminate_ints``, so that
-``_particular_ints`` can then solve it for many right-hand sides.
-``_enumerate_span_ints`` walks the span or coset they describe.
+Private kernels on raw integer rows do every GF(2) row operation in the
+package.  Two eliminations remain because each pins a pivot convention
+that printed results depend on: ``_rref_ints`` (lowest-bit pivots) gives
+the canonical bases behind printed syndromes and gauge pairs, and
+``_eliminate_ints`` (highest-bit pivots) reduces a system once so that
+``_particular_ints`` solves it per right-hand side, which fixes the rows a
+seeded search draws.  ``_echelon_step`` grows a lowest-bit-keyed echelon;
+``_transpose_ints``, ``_parities``, ``_xor_rows``, ``_check_rank`` and
+``_enumerate_span_ints`` transpose rows, take a vector's overlap parities,
+XOR the rows a mask selects, guard a rank, and walk a span or coset.
 """
 
 from __future__ import annotations
@@ -208,20 +212,6 @@ def _rref_ints(rows: list[int], n: int) -> tuple[list[int], list[int]]:
     return out, pivots
 
 
-def _solve_ints(masks: list[int], rhs: list[int], n: int) -> Optional[tuple[int, list[int]]]:
-    """Solve ``masks[i] . x = rhs[i]`` over GF(2) for an ``n``-bit ``x``.
-
-    Returns (particular solution, kernel basis), so the solution set is
-    ``particular + span(kernel)``, or None when the system is inconsistent.
-    Each pivot is the highest bit of its reduced row, the particular
-    solution is zero on every free column, and the kernel basis has one
-    vector per free column, in ascending column order.
-    """
-    rows, checks, kernel = _eliminate_ints(masks, n)
-    particular = _particular_ints(rows, checks, sum(b << i for i, b in enumerate(rhs)))
-    return None if particular is None else (particular, kernel)
-
-
 def _eliminate_ints(
     masks: list[int], n: int
 ) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
@@ -230,7 +220,10 @@ def _eliminate_ints(
     Returns (rows, checks, kernel): rows are (pivot, reduced mask,
     combination), bit ``i`` of a combination marking ``masks[i]`` as a
     term; checks are combinations that sum to zero, on which a consistent
-    ``b`` has even parity; ``kernel`` is as in ``_solve_ints``.
+    ``b`` has even parity; ``kernel`` has one vector per free column, in
+    ascending column order, so the solutions are the particular solution
+    plus its span.  Each pivot is the highest bit of its reduced row, and a
+    particular solution is zero on every free column.
     """
     echelon: list[tuple[int, int, int]] = []
     checks: list[int] = []
@@ -272,14 +265,59 @@ def _particular_ints(
     return sum(((combo & rhs).bit_count() & 1) << pivot for pivot, _, combo in rows)
 
 
+def _echelon_step(echelon: dict[int, int], row: int) -> int:
+    """Reduce ``row`` against an echelon whose rows are keyed by their
+    lowest bit, and return the result.  A nonzero result is outside the
+    echelon's span and joins it under its own lowest bit."""
+    while row & -row in echelon:
+        row ^= echelon[row & -row]
+    if row:
+        echelon[row & -row] = row
+    return row
+
+
+def _transpose_ints(rows: Sequence[int], n: int) -> list[int]:
+    """The ``n`` columns of ``rows``: bit ``i`` of column ``j`` is bit ``j``
+    of row ``i``."""
+    columns = [0] * n
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return columns
+
+
+def _parities(rows: Sequence[int], v: int) -> int:
+    """Bit ``j`` is the overlap parity of ``v`` with ``rows[j]``."""
+    return sum(((row & v).bit_count() & 1) << j for j, row in enumerate(rows))
+
+
+def _xor_rows(rows: Sequence[int], mask: int) -> int:
+    """The XOR of every ``rows[i]`` whose bit ``i`` is set in ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _check_rank(what: str, rank: int) -> None:
+    """Refuse to enumerate a span of rank above ``ENUMERATION_GUARD``."""
+    if rank > ENUMERATION_GUARD:
+        raise ValueError(
+            f"{what} of rank {rank} exceeds enumeration guard 2**{ENUMERATION_GUARD}"
+        )
+
+
 def orthogonal_complement(matrix: BitMatrix) -> BitMatrix:
     """Canonical basis of the space of vectors orthogonal to every row.
 
     The kernel of the matrix (as a bilinear form), returned in reduced row
     echelon form.  Its rank is ``n - rank(matrix)``.
     """
-    rows = matrix.row_values()
-    _, kernel = _solve_ints(rows, [0] * len(rows), matrix.n)
+    _, _, kernel = _eliminate_ints(matrix.row_values(), matrix.n)
     canonical, _ = _rref_ints(kernel, matrix.n)
     return BitMatrix.from_ints(canonical, matrix.n)
 

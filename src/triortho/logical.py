@@ -20,13 +20,21 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .codes import TriorthogonalCode
-from .gf2 import BitVector, _eliminate_ints, _enumerate_span_ints, _particular_ints
+from .gf2 import (
+    BitVector,
+    _eliminate_ints,
+    _enumerate_span_ints,
+    _parities,
+    _particular_ints,
+    _xor_rows,
+)
 from .simulator import (
     LabelLike,
     LogicalBasisLabel,
     SparseState,
     _sample_outcome,
     _transversal_h,
+    _walsh_hadamard,
     apply_gate,
     drop_qubits,
     measure_register,
@@ -186,22 +194,16 @@ def _steane_round(
     correction = code.decode_x(syndrome_int)
     corrected = recorded ^ correction.value
 
-    gauge = tuple(
-        (pair.z_part.value & corrected).bit_count() & 1 for pair in code.gauge_pairs
-    )
-    total = correction.value
-    for bit, pair in zip(gauge, code.gauge_pairs):
-        if bit:
-            total ^= pair.x_part.value
-    data = _apply_pauli(data, total, 0)
+    # Gauge parities of the corrected string; each odd one applies its X part.
+    pairs = code.gauge_pairs
+    gauge = _parities([pair.z_part.value for pair in pairs], corrected)
+    x_parts = [pair.x_part.value for pair in pairs]
+    data = _apply_pauli(data, correction.value ^ _xor_rows(x_parts, gauge), 0)
 
-    syndrome_bits = tuple(
-        (syndrome_int >> j) & 1 for j in range(code.g0_basis.row_count)
-    )
     return data, SteaneReport(
         raw_outcomes=BitVector(recorded, n),
-        x_syndrome=syndrome_bits,
-        gauge_parities=gauge,
+        x_syndrome=tuple((syndrome_int >> j) & 1 for j in range(code.g0_basis.row_count)),
+        gauge_parities=tuple((gauge >> i) & 1 for i in range(len(pairs))),
         applied_correction=correction,
         decode_success=True,
     )
@@ -374,18 +376,12 @@ def gauge_parities_of_state(
 
     Each gauge Z support must have constant overlap parity across the whole
     support; returns None when some parity is indefinite."""
-    parities = []
-    for pair in code.gauge_pairs:
-        z = pair.z_part.value
-        seen: Optional[int] = None
-        for k in state.amps:
-            p = (z & k).bit_count() & 1
-            if seen is None:
-                seen = p
-            elif p != seen:
-                return None
-        parities.append(seen if seen is not None else 0)
-    return tuple(parities)
+    z_parts = [pair.z_part.value for pair in code.gauge_pairs]
+    seen = {_parities(z_parts, k) for k in state.amps} or {0}
+    if len(seen) > 1:
+        return None
+    parities = seen.pop()
+    return tuple((parities >> i) & 1 for i in range(len(z_parts)))
 
 
 @dataclass(frozen=True)
@@ -429,10 +425,7 @@ def _hadamard_pair(
     """
     if len(coeffs) != 1 << code.k:
         raise ValueError(f"{len(coeffs)} coefficients for 2**{code.k} logical labels")
-    walsh = [
-        sum(-c if (x & y).bit_count() & 1 else c for x, c in enumerate(coeffs))
-        for y in range(len(coeffs))
-    ]
+    walsh = _walsh_hadamard(list(coeffs))
     pair = []
     for amps, gauge in ((coeffs, gauge_bits), (walsh, ())):
         terms = [

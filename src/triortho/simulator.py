@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .codes import TriorthogonalCode
-from .gf2 import (
-    ENUMERATION_GUARD,
-    _eliminate_ints,
-    _enumerate_span_ints,
-    _particular_ints,
-    _rref_ints,
-)
+from .gf2 import _check_rank, _enumerate_span_ints, _rref_ints, _transpose_ints, _xor_rows
 
 __all__ = [
     "PRUNE_EPS",
@@ -140,6 +134,19 @@ def apply_gate(state: SparseState, gate: str, qubits: Sequence[int]) -> SparseSt
     return SparseState(state.n, {k: -a if (k & mask) == mask else a for k, a in amps.items()})
 
 
+def _walsh_hadamard(coeffs: list) -> list:
+    """The unnormalised Walsh-Hadamard transform, in place: entry y becomes
+    the sum over x of (-1)^(x.y) coeffs[x].  The length is a power of two."""
+    half = 1
+    while half < len(coeffs):
+        for start in range(0, len(coeffs), 2 * half):
+            for i in range(start, start + half):
+                u, v = coeffs[i], coeffs[i + half]
+                coeffs[i], coeffs[i + half] = u + v, u - v
+        half *= 2
+    return coeffs
+
+
 def _transversal_h(state: SparseState) -> SparseState:
     """H on every qubit in one pass, exact for any sparse state.
 
@@ -148,41 +155,30 @@ def _transversal_h(state: SparseState) -> SparseState:
     k ^ k0).  The image amplitude at j is 2^(-n/2) (-1)^(k0.j) W(y), where
     W is the length-2^r Walsh-Hadamard transform of the coordinates and
     y_i = B_i.j; so each nonzero W(y) fills the coset {j : B.j = y} of
-    the span's dual.
+    the span's dual: y_i at pivot i, plus one vector per free column.
     """
     n = state.n
     if not state.amps:
         return SparseState(n)
     k0 = next(iter(state.amps))
-    basis, pivots = _rref_ints([k ^ k0 for k in state.amps], n)
-    r = len(basis)
-    for what, rank in (("support span", r), ("dual coset", n - r)):
-        if rank > ENUMERATION_GUARD:
-            raise ValueError(
-                f"{what} of rank {rank} exceeds enumeration guard 2**{ENUMERATION_GUARD}"
-            )
-    coeffs = [0j] * (1 << r)
-    for k, a in state.amps.items():
-        d = k ^ k0
-        coeffs[sum(((d >> p) & 1) << i for i, p in enumerate(pivots))] = a
-    half = 1
-    while half < len(coeffs):
-        for start in range(0, len(coeffs), 2 * half):
-            for i in range(start, start + half):
-                u, v = coeffs[i], coeffs[i + half]
-                coeffs[i], coeffs[i + half] = u + v, u - v
-        half *= 2
+    diffs = [k ^ k0 for k in state.amps]
+    basis, pivots = _rref_ints(diffs, n)
+    _check_rank("support span", len(basis))
+    _check_rank("dual coset", n - len(basis))
+    coeffs = [0j] * (1 << len(basis))
+    for c, a in zip(_gather(diffs, pivots), state.amps.values()):
+        coeffs[c] = a
+    _walsh_hadamard(coeffs)
     scale = 2.0 ** (-n / 2)
-    # B is reduced once; bit i of y is the right-hand side of B_i . j.
-    rows, checks, kernel = _eliminate_ints(basis, n)
+    units = [1 << p for p in pivots]
+    columns = _transpose_ints(basis, n)
+    kernel = [1 << col | _xor_rows(units, columns[col]) for col in range(n) if col not in pivots]
     out: dict[int, complex] = {}
     for y, w in enumerate(coeffs):
         amp = w * scale
         if abs(amp) <= PRUNE_EPS:
             continue
-        # B has full rank, so every y has a solution.
-        particular = _particular_ints(rows, checks, y)
-        for j in _enumerate_span_ints(kernel, particular):
+        for j in _enumerate_span_ints(kernel, _xor_rows(units, y)):
             out[j] = -amp if (k0 & j).bit_count() & 1 else amp
     return SparseState(n, out)
 
@@ -348,13 +344,9 @@ def prepare_logical(code: TriorthogonalCode, label: LabelLike) -> SparseState:
         raise ValueError(
             f"label has {len(lab.gauge_bits)} gauge bits for {len(code.gauge_pairs)} pairs"
         )
-    shift = 0
-    for bit, row in zip(lab.bits, code.logical_x):
-        if bit:
-            shift ^= row.value
-    for bit, pair in zip(lab.gauge_bits, code.gauge_pairs):
-        if bit:
-            shift ^= pair.x_part.value
+    # Logical rows then gauge X parts, selected by the label and gauge bits.
+    rows = [v.value for v in code.logical_x] + [pair.x_part.value for pair in code.gauge_pairs]
+    shift = _xor_rows(rows, sum(b << i for i, b in enumerate(lab.bits + lab.gauge_bits)))
     return _uniform_coset(code.n, code.g0_basis.row_values(), shift)
 
 
@@ -366,10 +358,7 @@ def prepare_plus_all(code: TriorthogonalCode) -> SparseState:
 
 
 def _uniform_coset(n: int, basis: list[int], shift: int) -> SparseState:
-    if len(basis) > ENUMERATION_GUARD:
-        raise ValueError(
-            f"coset of rank {len(basis)} exceeds enumeration guard 2**{ENUMERATION_GUARD}"
-        )
+    _check_rank("coset", len(basis))
     amp = complex(2.0 ** (-len(basis) / 2.0))
     return SparseState(n, {v: amp for v in _enumerate_span_ints(basis, shift)})
 
@@ -412,10 +401,7 @@ def transversal_multi_cz_phase_check(
     if code.source.level < h:
         raise ValueError(f"code has level {code.source.level}, below h={h}")
     rank0 = code.g0_basis.row_count
-    if h * rank0 > ENUMERATION_GUARD:
-        raise ValueError(
-            f"phase check of rank {h * rank0} exceeds enumeration guard 2**{ENUMERATION_GUARD}"
-        )
+    _check_rank("phase check", h * rank0)
 
     labs = [LogicalBasisLabel.of(lab) for lab in labels]
     # Preparing the cosets first rejects a label of the wrong length.

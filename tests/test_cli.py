@@ -410,3 +410,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["build-code", "--builtin", "15-1-3", "--file", builtin_file])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_simulate_hadamard_needs_a_round(self, capsys, seeds, fmt):
+        # No PASS and no header without at least one round.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate-hadamard", "--builtin", "15-1-3", "--seeds", seeds, "--format", fmt])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --seeds: must be at least 1, got {seeds}" in err

@@ -7,9 +7,15 @@ import pytest
 from triortho.gf2 import (
     BitMatrix,
     BitVector,
+    _check_rank,
+    _echelon_step,
+    _eliminate_ints,
     _enumerate_span_ints,
+    _parities,
+    _particular_ints,
     _rref_ints,
-    _solve_ints,
+    _transpose_ints,
+    _xor_rows,
     format_matrix,
     orthogonal_complement,
     parse_matrix,
@@ -193,7 +199,7 @@ def test_format_matrix_leftmost_is_coordinate_zero():
     assert format_matrix(mat) == "100\n"
 
 
-def test_solve_ints_matches_brute_force():
+def test_eliminate_ints_matches_brute_force():
     rng = random.Random(11)
     systems = [([], [], 0), ([], [], 5), ([0, 0], [0, 0], 3), ([0], [1], 3)]
     for _ in range(300):
@@ -212,13 +218,81 @@ def test_solve_ints_matches_brute_force():
             for x in range(1 << n)
             if all((mask & x).bit_count() % 2 == b for mask, b in zip(masks, rhs))
         }
-        solved = _solve_ints(masks, rhs, n)
-        outcomes.add(solved is None)
+        rows, checks, kernel = _eliminate_ints(masks, n)
+        particular = _particular_ints(rows, checks, sum(b << i for i, b in enumerate(rhs)))
+        outcomes.add(particular is None)
         if not exact:
-            assert solved is None
+            assert particular is None
             continue
-        assert solved is not None
-        particular, kernel = solved
+        assert particular is not None
         assert len(_rref_ints(kernel, n)[0]) == len(kernel)
         assert set(_enumerate_span_ints(kernel, particular)) == exact
     assert outcomes == {True, False}
+
+
+def _random_rows(rng, count, n):
+    return [rng.getrandbits(n) for _ in range(count)]
+
+
+def test_transpose_ints_reads_bit_by_bit():
+    rng = random.Random(21)
+    for _ in range(200):
+        n, m = rng.randrange(0, 12), rng.randrange(0, 12)
+        rows = _random_rows(rng, m, n)
+        columns = _transpose_ints(rows, n)
+        assert len(columns) == n
+        for i, row in enumerate(rows):
+            for j in range(n):
+                assert (columns[j] >> i) & 1 == (row >> j) & 1
+        assert all(column >> m == 0 for column in columns)
+        assert _transpose_ints(columns, m) == rows
+
+
+def test_parities_match_row_dot_products():
+    rng = random.Random(22)
+    for _ in range(200):
+        n = rng.randrange(1, 16)
+        rows = _random_rows(rng, rng.randrange(0, 10), n)
+        v = rng.getrandbits(n)
+        expected = sum(
+            BitVector(row, n).dot(BitVector(v, n)) << j for j, row in enumerate(rows)
+        )
+        assert _parities(rows, v) == expected
+
+
+def test_xor_rows_matches_loop():
+    rng = random.Random(23)
+    for _ in range(200):
+        rows = _random_rows(rng, rng.randrange(0, 10), 16)
+        mask = rng.getrandbits(len(rows))
+        expected = 0
+        for i, row in enumerate(rows):
+            if (mask >> i) & 1:
+                expected ^= row
+        assert _xor_rows(rows, mask) == expected
+
+
+def test_echelon_step_tracks_rref_rank():
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        m = rng.randrange(0, 12)
+        rows = [rng.getrandbits(n) if rng.random() > 0.2 else 0 for _ in range(m)]
+        echelon: dict[int, int] = {}
+        for i, row in enumerate(rows):
+            before = len(_rref_ints(rows[:i], n)[0])
+            after = len(_rref_ints(rows[: i + 1], n)[0])
+            reduced = _echelon_step(echelon, row)
+            assert bool(reduced) == (after > before)
+            assert len(echelon) == after
+            # The reduced row differs from the row by a member of the span.
+            span = set(_enumerate_span_ints(_rref_ints(rows[:i], n)[0]))
+            assert row ^ reduced in span
+        assert all(key == row & -row for key, row in echelon.items())
+
+
+def test_check_rank_names_rank_and_guard():
+    _check_rank("coset", 25)
+    with pytest.raises(ValueError) as excinfo:
+        _check_rank("coset", 26)
+    assert str(excinfo.value) == "coset of rank 26 exceeds enumeration guard 2**25"
