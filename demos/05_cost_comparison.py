@@ -1,8 +1,9 @@
 """Compare expected T-state costs of Toffoli distillation stacks.
 
-Two menus: T-level distillation feeding the eight-T Toffoli construction,
-and the same plus a final Toffoli-to-Toffoli triorthogonal level with an
-optimally chosen k.
+Two optima over the default menu: the cheapest stack ending in the
+eight-T Toffoli construction (family ``jones`` required last), and the
+cheapest stack overall, which ends in a Toffoli-to-Toffoli triorthogonal
+level with an optimally chosen k.
 """
 
 from triortho.cost import (
@@ -20,7 +21,8 @@ jones = optimize_stack(
     CostQuery(
         target_error=TARGET,
         physical_t_error=PHYSICAL,
-        menu=tuple(default_menu(include_triorthogonal=False)),
+        menu=tuple(default_menu()),
+        required_final_family="jones",
     )
 )
 tri = optimize_stack(

@@ -22,7 +22,7 @@ from . import codes as codes_mod
 from . import cost as cost_mod
 from . import distill as distill_mod
 from .codes import TriorthogonalMatrix, build_code, builtin_15_1_3, distances
-from .gf2 import _atomic_write_text, format_matrix, read_matrix
+from .gf2 import _atomic_write_text, read_matrix, write_matrix
 from .logical import (
     FaultSpec,
     SteaneReport,
@@ -49,10 +49,9 @@ def _emit_json(obj: dict) -> None:
 
 
 def _load_source(args: argparse.Namespace) -> TriorthogonalMatrix:
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return BUILTINS[args.builtin]()
-    matrix = read_matrix(args.file)
-    return TriorthogonalMatrix.from_matrix(matrix, level=getattr(args, "level", None))
+    return TriorthogonalMatrix.from_matrix(read_matrix(args.file), level=args.level)
 
 
 # A --fault value lists FaultSpec's fields in order, joined by colons.
@@ -178,7 +177,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "triorthogonal matrix found by seeded search",
             f"seed={args.seed} budget={args.budget} n={args.n} k={args.k} m_even={args.m_even}",
         ]
-        _atomic_write_text(args.out, format_matrix(found.matrix, comments))
+        write_matrix(args.out, found.matrix, comments)
     return 0
 
 
@@ -375,14 +374,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_source_args(parser: argparse.ArgumentParser, with_level: bool = False) -> None:
+def _add_source_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="matrix text file")
     group.add_argument("--builtin", choices=sorted(BUILTINS), help="built-in matrix")
-    if with_level:
-        parser.add_argument(
-            "--level", type=int, default=None, help="orthogonality level to verify"
-        )
+    parser.add_argument("--level", type=int, default=None, help="orthogonality level to verify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_matrix)
 
     p = sub.add_parser("build-code", help="derive code parameters from a matrix")
-    _add_source_args(p, with_level=True)
+    _add_source_args(p)
     p.add_argument("--distances", action="store_true", help="also compute exact distances")
     add_format(p)
     p.set_defaults(func=cmd_build_code)
@@ -411,19 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m-even", type=int, required=True, dest="m_even")
-    p.add_argument("--budget", type=int, default=100000)
+    p.add_argument("--budget", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="write the found matrix here")
     add_format(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-ccz", help="check the transversal CCZ phase on all labels")
-    _add_source_args(p, with_level=True)
+    _add_source_args(p)
     add_format(p)
     p.set_defaults(func=cmd_verify_ccz)
 
     p = sub.add_parser("simulate-hadamard", help="run the measurement-based logical Hadamard")
-    _add_source_args(p, with_level=True)
+    _add_source_args(p)
     p.add_argument("--input", default="0", help="logical input: bits, '+', or '-'")
     p.add_argument("--seeds", type=_positive_int, default=1, help="number of seeded rounds")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -431,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate_hadamard)
 
     p = sub.add_parser("inject-faults", help="run the Hadamard procedure with chosen faults")
-    _add_source_args(p, with_level=True)
+    _add_source_args(p)
     p.add_argument(
         "--fault",
         action="append",
@@ -444,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inject_faults)
 
     p = sub.add_parser("distill", help="distillation census and Monte Carlo")
-    _add_source_args(p, with_level=True)
+    _add_source_args(p)
     p.add_argument("--model", required=True, help="error model JSON file")
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="write the stats JSON here")
     p.add_argument("--per-trial", dest="per_trial", help="write per-trial CSV here")

@@ -49,25 +49,30 @@ __all__ = [
 _DECODER_LIMIT = 20  # the decoder table holds at most 2**_DECODER_LIMIT syndromes
 
 
-def _check_orthogonality_ints(
-    rows: list[int], level: int, guarded: bool = False
-) -> Optional[tuple[int, ...]]:
-    # A guarded check (a level probe) stops after 2**ENUMERATION_GUARD tuples.
-    limit = 1 << ENUMERATION_GUARD if guarded else math.inf
-    examined = 0
+def _check_orthogonality_ints(rows: list[int], level: int) -> Optional[tuple[int, ...]]:
+    # Level by level; before enumerating level j, refuse when levels 2..j
+    # hold more than 2**ENUMERATION_GUARD row tuples.
+    def first_odd(j: int, start: int, product: int) -> Optional[tuple[int, ...]]:
+        # The lexicographically first j-tuple of rows from ``start`` on whose
+        # product with ``product`` has odd weight; a zero product stays zero.
+        if j == 0:
+            return () if product.bit_count() & 1 else None
+        for i in range(start, len(rows) - j + 1):
+            partial = product & rows[i]
+            rest = first_odd(j - 1, i + 1, partial) if partial else None
+            if rest is not None:
+                return (i, *rest)
+        return None
+
     for j in range(2, level + 1):
-        for combo in itertools.combinations(range(len(rows)), j):
-            examined += 1
-            if examined > limit:
-                raise ValueError(
-                    f"level probe examined more than 2**{ENUMERATION_GUARD} row tuples "
-                    f"(enumeration guard) by level {j}; give an explicit level (--level)"
-                )
-            product = rows[combo[0]]
-            for idx in combo[1:]:
-                product &= rows[idx]
-            if product.bit_count() & 1:
-                return combo
+        if sum(math.comb(len(rows), i) for i in range(2, j + 1)) > 1 << ENUMERATION_GUARD:
+            raise ValueError(
+                f"orthogonality check needs more than 2**{ENUMERATION_GUARD} row tuples "
+                f"(enumeration guard) by level {j}; give a --level below {j}"
+            )
+        violation = first_odd(j, 0, -1)
+        if violation is not None:
+            return violation
     return None
 
 
@@ -76,6 +81,7 @@ def check_orthogonality(matrix: BitMatrix, level: int) -> Optional[tuple[int, ..
 
     Returns None when every product has even weight, otherwise the first
     violating tuple of row indices (smallest j first, lexicographic within).
+    Refuses past the enumeration guard as ``TriorthogonalMatrix.from_matrix`` does.
     """
     if level < 2:
         raise ValueError(f"level must be at least 2, got {level}")
@@ -101,30 +107,24 @@ class TriorthogonalMatrix:
         """Verify a matrix and classify its rows.
 
         With ``level=None`` the highest passing level is probed, up to the
-        row count (beyond which the conditions are vacuous), and the probe
-        raises past 2**ENUMERATION_GUARD row tuples.  An explicit level is
-        verified exactly.  Raises ValueError on violation, naming the
+        row count (beyond which the conditions are vacuous); an explicit
+        level is verified exactly.  Either check refuses before enumerating
+        a level j once levels 2..j hold more than 2**ENUMERATION_GUARD row
+        tuples, naming j.  Raises ValueError on violation, naming the
         offending row tuple.
         """
         rows = matrix.row_values()
         if any(r == 0 for r in rows):
             raise ValueError("zero rows are not allowed")
-        if level is None:
+        probe = level is None
+        level = max(matrix.row_count, 2) if probe else level
+        violation = check_orthogonality(matrix, level)
+        if probe and violation is not None and len(violation) > 2:
             # Violations come smallest tuple first, so the first one sits
             # one level above the highest passing level.
-            top = max(matrix.row_count, 2)
-            violation = _check_orthogonality_ints(rows, top, guarded=True)
-            level = top if violation is None else len(violation) - 1
-            if level < 2:
-                raise ValueError(f"rows {violation} have odd product weight at level 2")
-        else:
-            if level < 2:
-                raise ValueError(f"level must be at least 2, got {level}")
-            violation = _check_orthogonality_ints(rows, level)
-            if violation is not None:
-                raise ValueError(
-                    f"rows {violation} have odd product weight at level {len(violation)}"
-                )
+            level, violation = len(violation) - 1, None
+        if violation is not None:
+            raise ValueError(f"rows {violation} have odd product weight at level {len(violation)}")
         even = tuple(i for i, r in enumerate(rows) if r.bit_count() % 2 == 0)
         odd = tuple(i for i, r in enumerate(rows) if r.bit_count() % 2 == 1)
         return cls(matrix=matrix, even_rows=even, odd_rows=odd, level=level)

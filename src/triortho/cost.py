@@ -11,6 +11,8 @@ and cost (all menu polynomials are monotone on [0, 1], so dominated states
 stay dominated), and skips protocols whose output kind cannot reach a
 deliverable kind in the levels left.  The target error only selects among
 the expanded stacks, so ``cost_curve`` expands each family menu once.
+Its two columns are the paper's: stacks ending in the eight-T Toffoli
+(family ``jones``) and in a triorthogonal Toffoli level (``triortho``).
 
 Kinds encode error structure, not just state type: the Toffoli-level
 triorthogonal formula assumes input error spread uniformly over the seven
@@ -161,14 +163,14 @@ def triorthogonal_top_level(k: int) -> ProtocolSpec:
     )
 
 
-def default_menu(include_triorthogonal: bool = True) -> list[ProtocolSpec]:
+def default_menu() -> list[ProtocolSpec]:
     """The built-in menu: 15-to-1, the T-level triorthogonal family, the
-    eight-T Toffoli protocol, and optionally the Toffoli-level family."""
+    eight-T Toffoli protocol, and the Toffoli-level family.  For the
+    Jones-only optimum, require the ``jones`` family last."""
     menu = [fifteen_to_one()]
     menu.extend(triorthogonal_t_level(k) for k in range(2, 101, 2))
     menu.append(jones_toffoli())
-    if include_triorthogonal:
-        menu.extend(triorthogonal_top_level(k) for k in range(2, 101, 2))
+    menu.extend(triorthogonal_top_level(k) for k in range(2, 101, 2))
     return menu
 
 
@@ -342,7 +344,6 @@ def optimize_stack(query: CostQuery) -> CostResult:
 class CurveRow:
     target_error: float
     jones: Optional[float]
-    jones_double: Optional[float]
     triortho_k_opt: Optional[float]
     k_star: Optional[int]
 
@@ -358,18 +359,16 @@ def cost_curve(
 ) -> list[CurveRow]:
     """Per-family optimum cost at each target error.
 
-    The jones and jones_double columns restrict the menu to T-level
-    protocols plus that single Toffoli family; the triortho column allows
-    any Toffoli source below a final triorthogonal level and reports its
-    k.  Missing families and infeasible targets leave blank cells.  No
-    entry of ``default_menu`` has the ``jones_double`` family, so that
-    column is blank for the default menu; a menu (``--menu`` on the
-    command line) with a ``jones_double`` entry fills it.  Each cell is
-    ``optimize_stack`` with that family required last, but the expansion
-    ignores the target, so it runs once per distinct family menu (twice for
-    the default menu) and each cell only selects among its stacks.
+    The jones column restricts the menu to T-level protocols plus the
+    ``jones`` family; the triortho column allows any Toffoli source below a
+    final ``triortho`` level and reports its k.  A menu entry of any other
+    family fills no column, and a missing family or an infeasible target
+    leaves a blank cell.  Each cell is ``optimize_stack`` with that family
+    required last, but the expansion ignores the target, so it runs once
+    per distinct family menu (twice for the default menu) and each cell
+    only selects among its stacks.
     """
-    families = ("jones", "jones_double", "triortho")
+    families = ("jones", "triortho")
     menus = {
         family: tuple(
             spec
@@ -396,8 +395,8 @@ def cost_curve(
 
     rows = []
     for target in targets:
-        jones, double, tri = (cell(family, target) for family in families)
-        costs = (result and result.expected_t_count for result in (jones, double, tri))
+        jones, tri = (cell(family, target) for family in families)
+        costs = (result and result.expected_t_count for result in (jones, tri))
         rows.append(CurveRow(target, *costs, tri and tri.k_star))
     return rows
 

@@ -80,6 +80,8 @@ _PAULI_BY_LOCATION = {
     "measurement": ("FLIP",),
 }
 
+_RESIDUAL_TOL = 1e-9  # pauli_residual's tolerance on |amplitude ratio| = 1 and on signs
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -302,11 +304,7 @@ class PauliResidual:
     z_pattern: BitVector
 
 
-def pauli_residual(
-    observed: SparseState,
-    ideal: SparseState,
-    tol: float = 1e-9,
-) -> Optional[PauliResidual]:
+def pauli_residual(observed: SparseState, ideal: SparseState) -> Optional[PauliResidual]:
     """Find the minimum-site Pauli P with observed = P * ideal, up to a
     global phase.  Returns None when no Pauli relates the two states.
 
@@ -337,15 +335,15 @@ def pauli_residual(
         if any((k ^ r) not in obs_keys for k in ideal_keys):
             continue
         rho0 = observed.amps[k0 ^ r] / ideal.amps[k0]
-        if abs(abs(rho0) - 1.0) > tol:
+        if abs(abs(rho0) - 1.0) > _RESIDUAL_TOL:
             continue
         # Bit i of rhs: the sign of the i-th constraint over GF(2).
         rhs = 0
         for i, k in enumerate(ideal_keys[1:]):
             s = observed.amps[k ^ r] / ideal.amps[k] / rho0
-            if abs(s + 1.0) <= tol:
+            if abs(s + 1.0) <= _RESIDUAL_TOL:
                 rhs |= 1 << i
-            elif abs(s - 1.0) > tol:
+            elif abs(s - 1.0) > _RESIDUAL_TOL:
                 break
         else:
             t0 = _particular_ints(rows, checks, rhs)

@@ -73,8 +73,8 @@ class SparseState:
     def amplitude(self, key: int) -> complex:
         return self.amps.get(key, 0.0 + 0.0j)
 
-    def prune(self, eps: float = PRUNE_EPS) -> "SparseState":
-        self.amps = {k: a for k, a in self.amps.items() if abs(a) > eps}
+    def prune(self) -> "SparseState":
+        self.amps = {k: a for k, a in self.amps.items() if abs(a) > PRUNE_EPS}
         return self
 
     def normalize(self) -> "SparseState":

@@ -156,7 +156,8 @@ def test_criterion_6_cost_headline_numbers(announce):
             CostQuery(
                 target_error=1e-13,
                 physical_t_error=1e-2,
-                menu=tuple(default_menu(include_triorthogonal=False)),
+                menu=tuple(default_menu()),
+                required_final_family="jones",
             )
         )
         ratio = tri.expected_t_count / jones.expected_t_count

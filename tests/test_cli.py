@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text output, JSON schemas, files."""
 
 import json
+import time
 
 import pytest
 
@@ -83,6 +84,27 @@ class TestCheckMatrix:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_explicit_level_past_guard_is_refused(self, capsys, tmp_path):
+        # 13 block-diagonal copies of 111/110: 26 rows, whose levels 2..13
+        # hold more than 2**25 tuples.  The refusal comes before any of them.
+        blocks = tmp_path / "blocks.txt"
+        rows = [
+            "000" * b + row + "000" * (12 - b) for b in range(13) for row in ("111", "110")
+        ]
+        blocks.write_text("\n".join(rows) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["check-matrix", "--file", str(blocks), "--level", "26"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: orthogonality check needs more than 2**25 row tuples "
+            "(enumeration guard) by level 13; give a --level below 13\n"
+        )
+        code, out, _ = run(capsys, ["check-matrix", "--file", str(blocks), "--level", "12"])
+        assert code == 0
+        assert out == "PASS level=12 rows=26 cols=39\n"
 
 
 class TestBuildCode:
@@ -337,8 +359,8 @@ class TestCostCurve:
         code, out, _ = run(capsys, ["cost-curve", "--targets", "1e-13"])
         assert code == 0
         assert out == (
-            "target_error,jones,jones_double,triortho_k_opt,k_star\n"
-            "1e-13,505.08579328118884,,434.9499090845322,100\n"
+            "target_error,jones,triortho_k_opt,k_star\n"
+            "1e-13,505.08579328118884,434.9499090845322,100\n"
         )
 
     def test_out_file(self, capsys, tmp_path):
@@ -347,7 +369,7 @@ class TestCostCurve:
         assert code == 0
         assert out == f"wrote {path}\n"
         assert path.read_text().splitlines()[1] == (
-            "1e-13,505.08579328118884,,434.9499090845322,100"
+            "1e-13,505.08579328118884,434.9499090845322,100"
         )
 
     def test_default_grid_size(self, capsys):
@@ -369,18 +391,19 @@ class TestCostCurve:
             capsys, ["cost-curve", "--targets", "1e-9", "--max-depth", "1"]
         )
         assert code == 0
-        assert out.splitlines()[1] == "1e-09,,,,"
+        assert out.splitlines()[1] == "1e-09,,,"
 
     def test_custom_menu_file(self, capsys, tmp_path):
         from triortho.cost import default_menu, menu_to_json
 
         path = tmp_path / "menu.json"
-        path.write_text(json.dumps(menu_to_json(default_menu(include_triorthogonal=False))))
+        jones_menu = [spec for spec in default_menu() if spec.family != "triortho"]
+        path.write_text(json.dumps(menu_to_json(jones_menu)))
         code, out, _ = run(
             capsys, ["cost-curve", "--targets", "1e-13", "--menu", str(path)]
         )
         assert code == 0
-        assert out.splitlines()[1] == "1e-13,505.08579328118884,,,"
+        assert out.splitlines()[1] == "1e-13,505.08579328118884,,"
 
     def test_menu_negative_degree_is_an_error(self, capsys, tmp_path):
         from triortho.cost import jones_toffoli, menu_to_json
@@ -411,13 +434,34 @@ class TestUsageErrors:
             main(["build-code", "--builtin", "15-1-3", "--file", builtin_file])
         assert excinfo.value.code == 2
 
+    @staticmethod
+    def assert_below_one_is_refused(capsys, argv, flag, value):
+        # A usage error naming the limit: exit 2, nothing on stdout.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [flag, value])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: must be at least 1, got {value}" in err
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_simulate_hadamard_needs_a_round(self, capsys, seeds, fmt):
         # No PASS and no header without at least one round.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["simulate-hadamard", "--builtin", "15-1-3", "--seeds", seeds, "--format", fmt])
-        assert excinfo.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"argument --seeds: must be at least 1, got {seeds}" in err
+        argv = ["simulate-hadamard", "--builtin", "15-1-3", "--format", fmt]
+        self.assert_below_one_is_refused(capsys, argv, "--seeds", seeds)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["distill", "--builtin", "15-1-3", "--model", "model.json"], "--trials", "0"),
+            (["distill", "--builtin", "15-1-3", "--model", "model.json"], "--trials", "-5"),
+            (["search", "--n", "8", "--k", "1", "--m-even", "3"], "--budget", "0"),
+            (["search", "--n", "8", "--k", "1", "--m-even", "3"], "--budget", "-4"),
+        ],
+        ids=["trials-0", "trials-minus-5", "budget-0", "budget-minus-4"],
+    )
+    def test_counts_must_be_positive(self, capsys, argv, flag, value, fmt):
+        # No rates from zero trials and no search without a candidate.
+        self.assert_below_one_is_refused(capsys, argv + ["--format", fmt], flag, value)

@@ -1,5 +1,8 @@
 """Orthogonality checking, code construction, distances, and search."""
 
+import itertools
+import random
+
 import pytest
 
 from triortho import codes as codes_mod
@@ -67,6 +70,32 @@ class TestCheckOrthogonality:
         with pytest.raises(ValueError):
             check_orthogonality(builtin_matrix.matrix, 1)
 
+    def test_first_violation_matches_all_tuples(self):
+        # Oracle: every tuple, smallest size first, lexicographic within.
+        # Sparse rows exercise the skipped zero partial products.
+        def first_odd_tuple(rows, level):
+            for j in range(2, level + 1):
+                for combo in itertools.combinations(range(len(rows)), j):
+                    product = -1
+                    for i in combo:
+                        product &= rows[i]
+                    if product.bit_count() & 1:
+                        return combo
+            return None
+
+        rng = random.Random(7)
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            density = rng.random()
+            rows = [
+                "".join("1" if rng.random() < density else "0" for _ in range(n))
+                for _ in range(rng.randint(1, 9))
+            ]
+            matrix = BitMatrix.from_strings(rows)
+            level = rng.randint(2, len(rows) + 1)
+            expected = first_odd_tuple(matrix.row_values(), level)
+            assert check_orthogonality(matrix, level) == expected
+
 
 class TestBuiltinMatrix:
     def test_row_weights(self, builtin_matrix):
@@ -117,12 +146,17 @@ class TestFromMatrix:
 
     def test_probe_guard_names_limit_and_suggests_level(self, monkeypatch):
         # Six rows have 15 pairs and 20 triples, over a guard of 2**4 = 16
-        # tuples; an explicit level is not probed and not guarded.
+        # tuples; a probe and an explicit level share the guard.
         monkeypatch.setattr(codes_mod, "ENUMERATION_GUARD", 4)
         matrix = BitMatrix.from_strings(_BLOCKS_3)
-        with pytest.raises(ValueError, match=r"more than 2\*\*4 row tuples .*--level"):
+        message = r"more than 2\*\*4 row tuples .* by level 3; give a --level below 3"
+        with pytest.raises(ValueError, match=message):
             TriorthogonalMatrix.from_matrix(matrix)
-        assert TriorthogonalMatrix.from_matrix(matrix, level=6).level == 6
+        with pytest.raises(ValueError, match=message):
+            TriorthogonalMatrix.from_matrix(matrix, level=6)
+        with pytest.raises(ValueError, match=message):
+            check_orthogonality(matrix, 6)
+        assert TriorthogonalMatrix.from_matrix(matrix, level=2).level == 2
 
 
 class TestBuildCode:

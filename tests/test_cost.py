@@ -29,7 +29,7 @@ from triortho.cost import (
 )
 
 
-FAMILIES = ("jones", "jones_double", "triortho")
+FAMILIES = ("jones", "triortho")
 
 
 def family_menu(menu, family):
@@ -198,9 +198,17 @@ class TestFactories:
     def test_default_menu_composition(self):
         menu = default_menu()
         assert len(menu) == 102
-        assert len(default_menu(include_triorthogonal=False)) == 52
         families = {spec.family for spec in menu}
         assert families == {"t", "jones", "triortho"}
+
+    def test_jones_only_optimum_is_the_jones_column(self):
+        # The Jones-only comparison needs no second menu: requiring the
+        # jones family last on the full menu gives the jones column.
+        grid = [10.0**-e for e in range(6, 21)]
+        rows = cost_curve(default_menu(), grid, 1e-2)
+        for target, row in zip(grid, rows):
+            query = CostQuery(target, 1e-2, tuple(default_menu()), required_final_family="jones")
+            assert optimize_stack(query).expected_t_count == row.jones
 
 
 class TestCostQuery:
@@ -242,7 +250,8 @@ class TestOptimizer:
             CostQuery(
                 target_error=1e-13,
                 physical_t_error=1e-2,
-                menu=tuple(default_menu(include_triorthogonal=False)),
+                menu=tuple(default_menu()),
+                required_final_family="jones",
             )
         )
         assert result.expected_t_count == pytest.approx(505.08579328118884, rel=1e-12)
@@ -256,7 +265,8 @@ class TestOptimizer:
             CostQuery(
                 target_error=1e-2,
                 physical_t_error=1e-2,
-                menu=tuple(default_menu(include_triorthogonal=False)),
+                menu=tuple(default_menu()),
+                required_final_family="jones",
             )
         )
         assert len(result.levels) == 1
@@ -307,7 +317,8 @@ class TestOptimizer:
             CostQuery(
                 target_error=1e-13,
                 physical_t_error=1e-2,
-                menu=tuple(default_menu(include_triorthogonal=False)),
+                menu=tuple(default_menu()),
+                required_final_family="jones",
             )
         )
         extended = optimize_stack(
@@ -417,8 +428,11 @@ class TestCostCurve:
         assert rows[0].triortho_k_opt > rows[0].jones
 
     def test_missing_family_leaves_blank_cells(self):
-        rows = cost_curve(default_menu(), [1e-13], 1e-2)
-        assert rows[0].jones_double is None
+        jones_menu = [spec for spec in default_menu() if spec.family != "triortho"]
+        rows = cost_curve(jones_menu, [1e-13], 1e-2)
+        assert rows[0].jones == pytest.approx(505.08579328118884, rel=1e-12)
+        assert rows[0].triortho_k_opt is None
+        assert rows[0].k_star is None
 
     def test_infeasible_cells_are_blank(self):
         rows = cost_curve(default_menu(), [1e-9], 1e-2, max_depth=1)
@@ -430,8 +444,8 @@ class TestCostCurve:
         rows = cost_curve(default_menu(), [1e-13], 1e-2)
         text = render_cost_curve_csv(rows)
         lines = text.splitlines()
-        assert lines[0] == CSV_HEADER == "target_error,jones,jones_double,triortho_k_opt,k_star"
-        assert lines[1] == "1e-13,505.08579328118884,,434.9499090845322,100"
+        assert lines[0] == CSV_HEADER == "target_error,jones,triortho_k_opt,k_star"
+        assert lines[1] == "1e-13,505.08579328118884,434.9499090845322,100"
 
     def test_cells_match_per_cell_search_and_brute_force(self):
         # Each cell equals optimize_stack on its family's menu with the
@@ -441,15 +455,16 @@ class TestCostCurve:
         for trial in range(60):
             menu = random_menu(rng, f"c{trial}")
             if trial % 3 == 0:
+                # A second eight-T-style Toffoli source in the jones column.
                 menu.append(
                     ProtocolSpec(
-                        name=f"c{trial}-double",
+                        name=f"c{trial}-toffoli",
                         inputs_per_output=12.0,
                         error_poly=((9.0, 2),),
                         success_poly=((1.0, 0), (-12.0, 1)),
                         input_kind="T",
                         output_kind="toffoli",
-                        family="jones_double",
+                        family="jones",
                     )
                 )
             targets = sorted(10.0 ** rng.uniform(-14, -3) for _ in range(3))
@@ -457,8 +472,7 @@ class TestCostCurve:
             rows = cost_curve(menu, targets, 1e-2, max_depth=depth)
             for target, row in zip(targets, rows):
                 assert row.target_error == target
-                cells = {"jones": row.jones, "jones_double": row.jones_double}
-                cells["triortho"] = row.triortho_k_opt
+                cells = {"jones": row.jones, "triortho": row.triortho_k_opt}
                 for family in FAMILIES:
                     chosen = family_menu(menu, family)
                     if not any(spec.family == family for spec in chosen):
@@ -487,7 +501,7 @@ class TestCostCurve:
         monkeypatch.setattr(cost_mod, "_expand", counting)
         grid = [10.0**-e for e in range(6, 21)]
         full = default_menu()
-        # The jones menu and the full menu; jones_double has no entry.
+        # The jones menu and the full menu.
         cost_curve(full, grid, 1e-2)
         assert sorted(map(len, menus)) == [52, 102]
         # A T-level triortho entry makes the jones menu the full menu.
@@ -500,7 +514,7 @@ class TestCostCurve:
         menus.clear()
         rows = cost_curve([fifteen_to_one()], grid, 1e-2)
         assert menus == []
-        assert rows == [CurveRow(target, None, None, None, None) for target in grid]
+        assert rows == [CurveRow(target, None, None, None) for target in grid]
 
     def test_cell_queries_still_validate(self):
         with pytest.raises(ValueError, match="target_error"):
@@ -511,11 +525,11 @@ class TestCostCurve:
             cost_curve(default_menu(), [1e-13], 1e-2, max_depth=0)
         # A menu with no family entry queries no cell, so nothing is checked.
         rows = cost_curve([fifteen_to_one()], [2e-2], 1e-2)
-        assert rows == [CurveRow(2e-2, None, None, None, None)]
+        assert rows == [CurveRow(2e-2, None, None, None)]
 
     def test_csv_blank_row(self):
         rows = cost_curve(default_menu(), [1e-9], 1e-2, max_depth=1)
-        assert render_cost_curve_csv(rows).splitlines()[1] == "1e-09,,,,"
+        assert render_cost_curve_csv(rows).splitlines()[1] == "1e-09,,,"
 
 
 class TestMenuJson:
@@ -565,18 +579,23 @@ class TestMenuJson:
         assert repr(spec) == repr(triorthogonal_top_level(4))
 
     def test_custom_entry(self):
+        # A menu entry joins its family's column; any other family fills none.
         data = [
             {
-                "name": "double-check",
-                "inputs_per_output": 12.0,
+                "name": "cheap-toffoli",
+                "inputs_per_output": 4.0,
                 "error_poly": [[9.0, 2]],
-                "success_poly": [[1.0, 0], [-12.0, 1]],
+                "success_poly": [[1.0, 0], [-4.0, 1]],
                 "kind": "T->toffoli",
-                "family": "jones_double",
+                "family": "jones",
             }
         ]
         (spec,) = menu_from_json(data)
-        assert spec.family == "jones_double"
+        assert spec.family == "jones"
         assert spec.param_k is None
-        rows = cost_curve(default_menu() + [spec], [1e-6], 1e-2)
-        assert rows[0].jones_double is not None
+        (base,) = cost_curve(default_menu(), [1e-6], 1e-2)
+        (row,) = cost_curve(default_menu() + [spec], [1e-6], 1e-2)
+        assert row.jones < base.jones
+        other = dataclasses.replace(spec, family="jones_double")
+        (row,) = cost_curve(default_menu() + [other], [1e-6], 1e-2)
+        assert row.jones == base.jones
