@@ -49,9 +49,10 @@ def _emit_json(obj: dict) -> None:
 
 
 def _load_source(args: argparse.Namespace) -> TriorthogonalMatrix:
-    if args.builtin:
-        return BUILTINS[args.builtin]()
-    return TriorthogonalMatrix.from_matrix(read_matrix(args.file), level=args.level)
+    # A built-in matrix is verified again, so --level holds for it as it
+    # does for a file.
+    matrix = BUILTINS[args.builtin]().matrix if args.builtin else read_matrix(args.file)
+    return TriorthogonalMatrix.from_matrix(matrix, level=args.level)
 
 
 # A --fault value lists FaultSpec's fields in order, joined by colons.
@@ -363,22 +364,30 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
     # An argparse type: a bad value is a usage error naming the limit.
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+# Orthogonality levels start at 2, the pairwise overlaps.
+_level = _int_at_least(2)
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="matrix text file")
     group.add_argument("--builtin", choices=sorted(BUILTINS), help="built-in matrix")
-    parser.add_argument("--level", type=int, default=None, help="orthogonality level to verify")
+    parser.add_argument("--level", type=_level, default=None, help="orthogonality level to verify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-matrix", help="verify row-product parities of a matrix file")
     p.add_argument("--file", required=True)
-    p.add_argument("--level", type=int, default=3)
+    p.add_argument("--level", type=_level, default=3)
     add_format(p)
     p.set_defaults(func=cmd_check_matrix)
 

@@ -41,10 +41,10 @@ __all__ = [
 
 NUM_CLASSES = 7
 
+# Trials per monte_carlo chunk; this fixes the layout of the seeded stream.
 MC_CHUNK = 1 << 16
-# Failed sites handled at once by monte_carlo, which bounds its memory at
-# large p.
-MC_SLICE = 1 << 18
+# Doubles drawn at once by monte_carlo, which bounds its working memory.
+MC_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -258,13 +258,22 @@ def monte_carlo(
 ) -> MonteCarloStats:
     """Sample distillation runs under the error model.
 
-    Each chunk of up to ``MC_CHUNK`` trials draws which sites fail and, for
-    the failed sites only, their classes.  A trial's signature is the XOR
-    of its failed sites' (site, class) signatures, held as uint64 words, so
-    the work grows with the number of failures rather than with n.  A given
-    (seed, trials) pair always produces the same counts.  With
-    ``collect_trials`` the per-trial (accepted, logical-failure) flags are
-    kept for logging.
+    Each chunk of up to ``MC_CHUNK`` trials reads two segments of the
+    seeded stream, t * n doubles each: the first decides which sites fail,
+    the second holds a class draw per site, of which only the failed
+    sites' are used.  A trial's signature is the XOR of its failed sites'
+    (site, class) signatures, held as uint64 words, so the work grows with
+    the number of failures rather than with n.
+
+    Both segments are read in blocks of ``MC_BLOCK`` doubles, which leaves
+    the stream unchanged.  The first pass keeps only each block's failure
+    offsets (2 bytes per failed site); the second redraws block by block
+    and XORs that block's failures into the trials' accumulators, so a
+    trial split between blocks gets both parts.  Memory is therefore one
+    block of draws, the chunk's failure offsets and its accumulators, and
+    never a dense (t, n) array.  A given (seed, trials) pair always
+    produces the same counts.  With ``collect_trials`` the per-trial
+    (accepted, logical-failure) flags are kept for logging.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -284,6 +293,8 @@ def monte_carlo(
     logical = np.array(words(table.logical), dtype=np.uint64)
     rng = np.random.default_rng(seed)
     cumulative = np.cumsum(np.asarray(model.class_weights, dtype=np.float64))
+    block = np.empty(MC_BLOCK, dtype=np.float64)
+    offset_type = np.min_scalar_type(MC_BLOCK - 1)
 
     accepted_total = 0
     failure_total = 0
@@ -291,20 +302,22 @@ def monte_carlo(
     done = 0
     while done < trials:
         t = min(MC_CHUNK, trials - done)
-        faulty = rng.random((t, n)) < model.p
-        draws = rng.random((t, n))
-        failed = np.flatnonzero(faulty)
+        bounds = [(lo, min(lo + MC_BLOCK, t * n)) for lo in range(0, t * n, MC_BLOCK)]
+        failed = [
+            np.flatnonzero(rng.random(out=block[: hi - lo]) < model.p).astype(offset_type)
+            for lo, hi in bounds
+        ]
         acc = np.zeros((t, n_words), dtype=np.uint64)
-        # The failures come trial by trial.  Each slice XORs its runs, one
-        # per trial, into the accumulators; a trial split between slices
-        # gets both parts.
-        for lo in range(0, failed.size, MC_SLICE):
-            part = failed[lo : lo + MC_SLICE]
-            trial, site = np.divmod(part, n)
+        for (lo, hi), offsets in zip(bounds, failed):
+            draws = rng.random(out=block[: hi - lo])
+            if not offsets.size:
+                continue
+            trial, site = np.divmod(offsets.astype(np.intp) + lo, n)
             cls = np.minimum(
-                np.searchsorted(cumulative, draws.ravel()[part], side="right"), NUM_CLASSES - 1
+                np.searchsorted(cumulative, draws[offsets], side="right"), NUM_CLASSES - 1
             )
-            starts = np.flatnonzero(np.diff(trial, prepend=-1))
+            # One run of failures per trial; each run XORs into its trial.
+            starts = np.flatnonzero(np.concatenate(([True], trial[1:] != trial[:-1])))
             acc[trial[starts]] ^= np.bitwise_xor.reduceat(signature[site, cls], starts, axis=0)
         ok = ~(acc & syndrome).any(axis=1)
         fail = ok & (acc & logical).any(axis=1)

@@ -133,6 +133,19 @@ class TestBuildCode:
             "d_z": 3,
         }
 
+    def test_builtin_level_is_verified(self, capsys, builtin_file):
+        # [[15,1,3]] passes level 3 only, and a built-in source says so as a
+        # file holding the same rows does.
+        for source in (["--builtin", "15-1-3"], ["--file", builtin_file]):
+            code, out, err = run(capsys, ["build-code", *source, "--level", "4"])
+            assert code == 1
+            assert out == ""
+            assert err == "error: rows (0, 1, 2, 3) have odd product weight at level 4\n"
+        _, probed, _ = run(capsys, ["build-code", "--builtin", "15-1-3"])
+        code, out, _ = run(capsys, ["build-code", "--builtin", "15-1-3", "--level", "3"])
+        assert code == 0
+        assert out == probed
+
     def test_file_source(self, capsys, d2_file):
         code, out, _ = run(capsys, ["build-code", "--file", d2_file, "--format", "json"])
         assert code == 0
@@ -435,21 +448,21 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
     @staticmethod
-    def assert_below_one_is_refused(capsys, argv, flag, value):
+    def assert_below_limit_is_refused(capsys, argv, flag, value, low=1):
         # A usage error naming the limit: exit 2, nothing on stdout.
         with pytest.raises(SystemExit) as excinfo:
             main(argv + [flag, value])
         assert excinfo.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"argument {flag}: must be at least 1, got {value}" in err
+        assert f"argument {flag}: must be at least {low}, got {value}" in err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_simulate_hadamard_needs_a_round(self, capsys, seeds, fmt):
         # No PASS and no header without at least one round.
         argv = ["simulate-hadamard", "--builtin", "15-1-3", "--format", fmt]
-        self.assert_below_one_is_refused(capsys, argv, "--seeds", seeds)
+        self.assert_below_limit_is_refused(capsys, argv, "--seeds", seeds)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
@@ -464,4 +477,19 @@ class TestUsageErrors:
     )
     def test_counts_must_be_positive(self, capsys, argv, flag, value, fmt):
         # No rates from zero trials and no search without a candidate.
-        self.assert_below_one_is_refused(capsys, argv + ["--format", fmt], flag, value)
+        self.assert_below_limit_is_refused(capsys, argv + ["--format", fmt], flag, value)
+
+    @pytest.mark.parametrize("level", ["1", "0", "-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-matrix", "--file", "g15.txt"],
+            ["build-code", "--builtin", "15-1-3"],
+            ["build-code", "--file", "g15.txt", "--format", "json"],
+            ["distill", "--builtin", "15-1-3", "--model", "model.json"],
+        ],
+        ids=["check-matrix", "build-code-builtin", "build-code-file", "distill"],
+    )
+    def test_level_below_two_is_refused(self, capsys, argv, level):
+        # Orthogonality levels start at the pairwise overlaps.
+        self.assert_below_limit_is_refused(capsys, argv, "--level", level, low=2)

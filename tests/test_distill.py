@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,17 @@ ORACLE_MODELS = {
 }
 
 
+BLOCK_MODELS = {
+    "p0": ErrorModel.uniform(0.0),
+    "p1e-2": UNIFORM,
+    "p5e-2-skewed": ErrorModel(p=0.05, class_weights=SKEWED.class_weights),
+    "p0.3": ErrorModel.uniform(0.3),
+    # Every site of every trial fails, so each trial's verdict needs the
+    # parts from all of its blocks.
+    "p1-class111": ORACLE_MODELS["p1-class111"],
+}
+
+
 class TestMonteCarloOracle:
     # 70,000 trials span two MC_CHUNK chunks.
     @pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
@@ -375,14 +387,30 @@ class TestMonteCarloOracle:
         assert (stats.accepted, stats.failures) == (expected.accepted, expected.failures)
         assert np.array_equal(stats.trial_flags, expected.trial_flags)
 
-    def test_trials_split_between_slices(self, oracle_fixtures, monkeypatch):
-        # A 5-failure slice cuts most multi-failure trials in two.
-        monkeypatch.setattr("triortho.distill.MC_SLICE", 5)
+    # A block of 5 cuts most multi-failure trials in two; one of 1009
+    # divides neither n = 84 nor a chunk's t * n, so each chunk ends on a
+    # partial block.  70,000 trials in blocks of 5 would take about a
+    # minute, so that block runs 600.
+    @pytest.mark.parametrize("block, trials", [(5, 600), (1009, 70_000)])
+    @pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+    def test_trials_split_between_blocks(self, oracle_fixtures, monkeypatch, model, block, trials):
+        monkeypatch.setattr("triortho.distill.MC_BLOCK", block)
         source = oracle_fixtures["d2x6-permuted"]
-        model = ErrorModel(p=0.05, class_weights=SKEWED.class_weights)
-        stats = monte_carlo(source, model, 3_000, seed=4, collect_trials=True)
-        expected = oracle_monte_carlo(source, model, 3_000, seed=4)
+        stats = monte_carlo(source, BLOCK_MODELS[model], trials, seed=4, collect_trials=True)
+        expected = oracle_monte_carlo(source, BLOCK_MODELS[model], trials, seed=4)
         assert np.array_equal(stats.trial_flags, expected.trial_flags)
+
+    @pytest.mark.parametrize("p", [1e-2, 0.3])
+    def test_memory_bounded_by_blocks(self, oracle_fixtures, p):
+        # Two dense (t, n) float64 draws would take 2 * 58.7 MB at n = 112.
+        source = oracle_fixtures["d2x8-permuted"]
+        tracemalloc.start()
+        try:
+            monte_carlo(source, ErrorModel.uniform(p), MC_CHUNK, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCensusOracle:
