@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import codes as codes_mod
 from . import cost as cost_mod
@@ -326,10 +326,16 @@ def cmd_distill(args: argparse.Namespace) -> int:
     if args.out:
         _atomic_write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
     if args.per_trial:
-        accepted, failed = stats.trial_flags.T.astype(int).tolist()
-        rows = map("{},{},{}\n".format, range(stats.trials), accepted, failed)
-        _atomic_write_text(args.per_trial, "".join(["trial,accepted,logical_failure\n", *rows]))
+        _atomic_write_text(args.per_trial, _per_trial_csv(stats.trial_flags))
     return 0
+
+
+def _per_trial_csv(flags) -> Iterator[str]:
+    # Row by row from one chunk of flags at a time: the text is never whole.
+    yield "trial,accepted,logical_failure\n"
+    for start in range(0, len(flags), distill_mod.MC_CHUNK):
+        accepted, failed = flags[start : start + distill_mod.MC_CHUNK].T.astype(int).tolist()
+        yield from map("{},{},{}\n".format, itertools.count(start), accepted, failed)
 
 
 def cmd_cost_curve(args: argparse.Namespace) -> int:
@@ -464,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--physical-t-error", type=float, default=1e-2, dest="physical_t_error"
     )
     p.add_argument("--menu", help="protocol menu JSON file")
-    p.add_argument("--max-depth", type=int, default=4, dest="max_depth")
+    p.add_argument("--max-depth", type=_positive_int, default=4, dest="max_depth")
     p.add_argument("--out", help="write the CSV here")
     add_format(p)
     p.set_defaults(func=cmd_cost_curve)

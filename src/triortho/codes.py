@@ -51,7 +51,8 @@ _DECODER_LIMIT = 20  # the decoder table holds at most 2**_DECODER_LIMIT syndrom
 
 def _check_orthogonality_ints(rows: list[int], level: int) -> Optional[tuple[int, ...]]:
     # Level by level; before enumerating level j, refuse when levels 2..j
-    # hold more than 2**ENUMERATION_GUARD row tuples.
+    # hold more than 2**ENUMERATION_GUARD row tuples.  Levels past the row
+    # count hold no tuple, so the walk stops there.
     def first_odd(j: int, start: int, product: int) -> Optional[tuple[int, ...]]:
         # The lexicographically first j-tuple of rows from ``start`` on whose
         # product with ``product`` has odd weight; a zero product stays zero.
@@ -64,7 +65,7 @@ def _check_orthogonality_ints(rows: list[int], level: int) -> Optional[tuple[int
                 return (i, *rest)
         return None
 
-    for j in range(2, level + 1):
+    for j in range(2, min(level, len(rows)) + 1):
         if sum(math.comb(len(rows), i) for i in range(2, j + 1)) > 1 << ENUMERATION_GUARD:
             raise ValueError(
                 f"orthogonality check needs more than 2**{ENUMERATION_GUARD} row tuples "

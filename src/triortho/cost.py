@@ -10,9 +10,10 @@ bound, pruning states that another state of their kind beats on both error
 and cost (all menu polynomials are monotone on [0, 1], so dominated states
 stay dominated), and skips protocols whose output kind cannot reach a
 deliverable kind in the levels left.  The target error only selects among
-the expanded stacks, so ``cost_curve`` expands each family menu once.
-Its two columns are the paper's: stacks ending in the eight-T Toffoli
-(family ``jones``) and in a triorthogonal Toffoli level (``triortho``).
+the expanded stacks, so ``cost_curve`` runs one search per call.  Its two
+columns are the paper's: the cheapest stack over the whole menu ending in
+the eight-T Toffoli (family ``jones``) and the cheapest ending in a
+triorthogonal Toffoli level (``triortho``).
 
 Kinds encode error structure, not just state type: the Toffoli-level
 triorthogonal formula assumes input error spread uniformly over the seven
@@ -24,7 +25,7 @@ deliverables.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -359,45 +360,30 @@ def cost_curve(
 ) -> list[CurveRow]:
     """Per-family optimum cost at each target error.
 
-    The jones column restricts the menu to T-level protocols plus the
-    ``jones`` family; the triortho column allows any Toffoli source below a
-    final ``triortho`` level and reports its k.  A menu entry of any other
-    family fills no column, and a missing family or an infeasible target
-    leaves a blank cell.  Each cell is ``optimize_stack`` with that family
-    required last, but the expansion ignores the target, so it runs once
-    per distinct family menu (twice for the default menu) and each cell
-    only selects among its stacks.
+    Each cell is ``optimize_stack`` on the whole menu with that family
+    (``jones`` or ``triortho``, whose k is reported) required last; a menu
+    entry of any other family fills no column, and a missing family or an
+    infeasible target leaves a blank cell.  Every target is checked as a
+    ``CostQuery`` first.  The stack search ignores the target, so it runs
+    once per call and each cell only selects among its stacks.
     """
+    menu = tuple(menu)
+    queries = [CostQuery(target, physical_t_error, menu, max_depth) for target in targets]
     families = ("jones", "triortho")
-    menus = {
-        family: tuple(
-            spec
-            for spec in menu
-            if family == "triortho"
-            or (spec.input_kind == "T" and spec.output_kind == "T")
-            or spec.family == family
-        )
-        for family in families
-    }
-    expansions: dict[tuple[ProtocolSpec, ...], list[_State]] = {}
+    searched = any(spec.family in families for spec in menu)
+    candidates = _expand(menu, physical_t_error, max_depth) if searched else []
 
-    def cell(family: str, target: float) -> Optional[CostResult]:
-        chosen = menus[family]
-        if not any(spec.family == family for spec in chosen):
-            return None
-        query = CostQuery(target, physical_t_error, chosen, max_depth, family)
-        if chosen not in expansions:
-            expansions[chosen] = _expand(chosen, physical_t_error, max_depth)
+    def cell(query: CostQuery, family: str) -> Optional[CostResult]:
         try:
-            return _select(expansions[chosen], query)
+            return _select(candidates, replace(query, required_final_family=family))
         except InfeasibleTargetError:
             return None
 
     rows = []
-    for target in targets:
-        jones, tri = (cell(family, target) for family in families)
+    for query in queries:
+        jones, tri = (cell(query, family) for family in families)
         costs = (result and result.expected_t_count for result in (jones, tri))
-        rows.append(CurveRow(target, *costs, tri and tri.k_star))
+        rows.append(CurveRow(query.target_error, *costs, tri and tri.k_star))
     return rows
 
 

@@ -64,8 +64,8 @@ class ErrorModel:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if len(self.class_weights) != NUM_CLASSES:
             raise ValueError(f"need {NUM_CLASSES} class weights")
-        if any(w < 0 for w in self.class_weights):
-            raise ValueError("class weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in self.class_weights):
+            raise ValueError("class weights must be finite and nonnegative")
         total = sum(self.class_weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"class weights must sum to 1, got {total}")

@@ -369,12 +369,13 @@ def write_matrix(path: str | os.PathLike, matrix: BitMatrix, comments: Sequence[
     _atomic_write_text(path, format_matrix(matrix, comments))
 
 
-def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
+def _atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    # ``text`` is a string or an iterable of pieces, written one at a time.
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

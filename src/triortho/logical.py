@@ -1,5 +1,6 @@
 """Logical-level procedures: teleported CCZ, measurement-based Hadamard,
-Steane-style X correction, and an exhaustive fault-injection sweep.
+Steane-style X correction, and a fault-injection sweep over X faults and
+measurement flips.
 
 The Hadamard procedure applies transversal H to the data block, entangles
 it into a freshly encoded all-plus ancilla block with transversal CNOT,
@@ -459,8 +460,11 @@ def fault_tolerance_sweep(
     input_label: Optional[LabelLike] = None,
     seed: int = 0,
 ) -> SweepReport:
-    """Inject every fault set up to ``weight_limit`` into the Hadamard
-    procedure and compare each output against the ideal image.
+    """Inject every set of up to ``weight_limit`` faults from
+    ``_fault_universe`` into the Hadamard procedure and compare each output
+    against the ideal image.  That universe holds X faults and measurement
+    flips, 7n faults, but no Z fault; ``TestSingleZFaults`` in
+    ``tests/test_logical.py`` checks single Z faults.
 
     A case passes when the output equals the ideal up to a Pauli touching
     at most as many sites as there were injected faults.  With the default

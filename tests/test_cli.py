@@ -6,8 +6,9 @@ import time
 import pytest
 
 from triortho.cli import main
-from triortho.codes import builtin_15_1_3
-from triortho.gf2 import format_matrix, parse_matrix
+from triortho.codes import TriorthogonalMatrix, builtin_15_1_3
+from triortho.distill import MC_CHUNK, ErrorModel, monte_carlo
+from triortho.gf2 import format_matrix, parse_matrix, read_matrix
 
 from conftest import D2_ROWS, SMALL8_ROWS, SMALL8_SEARCH
 
@@ -105,6 +106,17 @@ class TestCheckMatrix:
         code, out, _ = run(capsys, ["check-matrix", "--file", str(blocks), "--level", "12"])
         assert code == 0
         assert out == "PASS level=12 rows=26 cols=39\n"
+
+    def test_level_past_row_count_is_vacuous(self, capsys, tmp_path):
+        # No tuple of more than 2 rows exists, so the check stops at level 2
+        # and prints the level it was given.
+        two_rows = tmp_path / "two.txt"
+        two_rows.write_text("1111\n0011\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["check-matrix", "--file", str(two_rows), "--level", "20000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == "PASS level=20000 rows=2 cols=4\n"
 
 
 class TestBuildCode:
@@ -330,6 +342,21 @@ class TestDistill:
         accepted = sum(int(line.split(",")[1]) for line in lines[1:])
         assert accepted == payload["accepted"]
 
+    def test_per_trial_rows_span_chunks(self, capsys, tmp_path, d2_file, model_file):
+        # The CSV is written a chunk at a time; its rows run on across the
+        # chunk boundary and match the library's flags.
+        trials = MC_CHUNK + 3
+        per_trial = tmp_path / "trials.csv"
+        argv = [
+            "distill", "--file", d2_file, "--model", model_file,
+            "--trials", str(trials), "--seed", "5", "--per-trial", str(per_trial),
+        ]
+        assert run(capsys, argv)[0] == 0
+        source = TriorthogonalMatrix.from_matrix(read_matrix(d2_file))
+        stats = monte_carlo(source, ErrorModel.uniform(1e-2), trials, 5, collect_trials=True)
+        rows = (f"{i},{int(a)},{int(f)}\n" for i, (a, f) in enumerate(stats.trial_flags))
+        assert per_trial.read_text() == "".join(["trial,accepted,logical_failure\n", *rows])
+
     def test_text_determinism(self, capsys, d2_file, model_file):
         argv = [
             "distill", "--file", d2_file, "--model", model_file,
@@ -430,6 +457,25 @@ class TestCostCurve:
         assert out == ""
         assert err == "error: jones-toffoli: bad polynomial term 28.0 p^-1\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--targets", "1e-13", "--physical-t-error", "5"], "physical_t_error"),
+            (["--targets", "1e-13,2e-2"], "target_error"),
+        ],
+        ids=["physical-error-above-one", "target-above-physical-error"],
+    )
+    def test_bad_error_rates_are_errors_without_a_column(self, capsys, tmp_path, args, message):
+        # A menu that fills no column still has its inputs checked.
+        from triortho.cost import fifteen_to_one, menu_to_json
+
+        path = tmp_path / "menu.json"
+        path.write_text(json.dumps(menu_to_json([fifteen_to_one()])))
+        code, out, err = run(capsys, ["cost-curve", "--menu", str(path), *args])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message} must be in")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -472,11 +518,13 @@ class TestUsageErrors:
             (["distill", "--builtin", "15-1-3", "--model", "model.json"], "--trials", "-5"),
             (["search", "--n", "8", "--k", "1", "--m-even", "3"], "--budget", "0"),
             (["search", "--n", "8", "--k", "1", "--m-even", "3"], "--budget", "-4"),
+            (["cost-curve"], "--max-depth", "0"),
         ],
-        ids=["trials-0", "trials-minus-5", "budget-0", "budget-minus-4"],
+        ids=["trials-0", "trials-minus-5", "budget-0", "budget-minus-4", "max-depth-0"],
     )
     def test_counts_must_be_positive(self, capsys, argv, flag, value, fmt):
-        # No rates from zero trials and no search without a candidate.
+        # No rates from zero trials, no search without a candidate and no
+        # table of stacks without a level.
         self.assert_below_limit_is_refused(capsys, argv + ["--format", fmt], flag, value)
 
     @pytest.mark.parametrize("level", ["1", "0", "-2"])

@@ -32,17 +32,6 @@ from triortho.cost import (
 FAMILIES = ("jones", "triortho")
 
 
-def family_menu(menu, family):
-    # The restriction cost_curve documents for each column.
-    if family == "triortho":
-        return tuple(menu)
-    return tuple(
-        spec
-        for spec in menu
-        if (spec.input_kind == "T" and spec.output_kind == "T") or spec.family == family
-    )
-
-
 def brute_force(query):
     """Exhaustive stack enumeration: ((cost, depth, names), error) of the
     best feasible stack or None, and the best deliverable error or None."""
@@ -201,14 +190,29 @@ class TestFactories:
         families = {spec.family for spec in menu}
         assert families == {"t", "jones", "triortho"}
 
-    def test_jones_only_optimum_is_the_jones_column(self):
+    @pytest.mark.parametrize("physical", [5e-3, 1e-2, 2e-2])
+    def test_jones_only_optimum_is_the_jones_column(self, physical):
         # The Jones-only comparison needs no second menu: requiring the
-        # jones family last on the full menu gives the jones column.
+        # jones family last on the full menu gives the jones column.  On the
+        # default menu only T-level specs feed jones-toffoli, so the T->T
+        # specs plus jones give the same cell.
+        menu = tuple(default_menu())
+        sub_menu = tuple(
+            spec
+            for spec in menu
+            if (spec.input_kind, spec.output_kind) == ("T", "T") or spec.family == "jones"
+        )
         grid = [10.0**-e for e in range(6, 21)]
-        rows = cost_curve(default_menu(), grid, 1e-2)
+        rows = cost_curve(menu, grid, physical)
         for target, row in zip(grid, rows):
-            query = CostQuery(target, 1e-2, tuple(default_menu()), required_final_family="jones")
-            assert optimize_stack(query).expected_t_count == row.jones
+            for chosen in (menu, sub_menu):
+                query = CostQuery(target, physical, chosen, required_final_family="jones")
+                try:
+                    cost = optimize_stack(query).expected_t_count
+                except InfeasibleTargetError:
+                    cost = None
+                assert cost == row.jones
+        assert any(row.jones is not None for row in rows)
 
 
 class TestCostQuery:
@@ -448,8 +452,8 @@ class TestCostCurve:
         assert lines[1] == "1e-13,505.08579328118884,434.9499090845322,100"
 
     def test_cells_match_per_cell_search_and_brute_force(self):
-        # Each cell equals optimize_stack on its family's menu with the
-        # family required last, and the exhaustive oracle agrees.
+        # Each cell equals optimize_stack on the whole menu with its family
+        # required last, and the exhaustive oracle agrees.
         rng = random.Random(0xC0C0)
         checked = 0
         for trial in range(60):
@@ -474,11 +478,10 @@ class TestCostCurve:
                 assert row.target_error == target
                 cells = {"jones": row.jones, "triortho": row.triortho_k_opt}
                 for family in FAMILIES:
-                    chosen = family_menu(menu, family)
-                    if not any(spec.family == family for spec in chosen):
+                    if not any(spec.family == family for spec in menu):
                         assert cells[family] is None
                         continue
-                    query = CostQuery(target, 1e-2, chosen, depth, family)
+                    query = CostQuery(target, 1e-2, tuple(menu), depth, family)
                     got = search(query)
                     assert_matches_oracle(query, *brute_force(query), got)
                     if isinstance(got, InfeasibleTargetError):
@@ -490,7 +493,7 @@ class TestCostCurve:
                             assert row.k_star == got.k_star
         assert checked > 20
 
-    def test_expands_once_per_distinct_family_menu(self, monkeypatch):
+    def test_expands_once_per_call(self, monkeypatch):
         menus = []
         expand = cost_mod._expand
 
@@ -500,11 +503,11 @@ class TestCostCurve:
 
         monkeypatch.setattr(cost_mod, "_expand", counting)
         grid = [10.0**-e for e in range(6, 21)]
-        full = default_menu()
-        # The jones menu and the full menu.
-        cost_curve(full, grid, 1e-2)
-        assert sorted(map(len, menus)) == [52, 102]
-        # A T-level triortho entry makes the jones menu the full menu.
+        # Both columns select from one search of the whole menu.
+        cost_curve(default_menu(), grid, 1e-2)
+        assert menus == [tuple(default_menu())]
+        # A triortho entry that outputs T still means one search, though
+        # no deliverable stack ends in it.
         menus.clear()
         t_level = dataclasses.replace(triorthogonal_t_level(4), family="triortho")
         rows = cost_curve([fifteen_to_one(), jones_toffoli(), t_level], grid, 1e-2)
@@ -523,9 +526,9 @@ class TestCostCurve:
             cost_curve(default_menu(), [1e-13], 0.0)
         with pytest.raises(ValueError, match="max_depth"):
             cost_curve(default_menu(), [1e-13], 1e-2, max_depth=0)
-        # A menu with no family entry queries no cell, so nothing is checked.
-        rows = cost_curve([fifteen_to_one()], [2e-2], 1e-2)
-        assert rows == [CurveRow(2e-2, None, None, None)]
+        # Targets are checked even when no cell is filled.
+        with pytest.raises(ValueError, match="target_error"):
+            cost_curve([fifteen_to_one()], [2e-2], 1e-2)
 
     def test_csv_blank_row(self):
         rows = cost_curve(default_menu(), [1e-9], 1e-2, max_depth=1)

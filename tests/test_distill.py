@@ -1,6 +1,7 @@
 """Distillation error analysis: propagation, pair census, Monte Carlo."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -167,6 +168,12 @@ class TestErrorModel:
             ErrorModel(p=0.1, class_weights=(0.5, 0.5))
         with pytest.raises(ValueError):
             ErrorModel(p=0.1, class_weights=(2.0, -1.0, 0, 0, 0, 0, 0))
+
+    def test_nan_weight_rejected(self):
+        # NaN passes the sum check, since every comparison with it is false.
+        data = json.loads('{"p": 0.01, "class_weights": [NaN, 1, 0, 0, 0, 0, 0]}')
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ErrorModel.from_json_dict(data)
 
     def test_json_round_trip(self):
         model = ErrorModel(p=0.05, class_weights=(0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1))
