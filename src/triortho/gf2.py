@@ -374,6 +374,10 @@ def _atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> No
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        # mkstemp creates mode 0600; give the mode open() gives a new file.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)

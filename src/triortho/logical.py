@@ -27,6 +27,7 @@ from .gf2 import (
     _enumerate_span_ints,
     _parities,
     _particular_ints,
+    _rref_ints,
     _xor_rows,
 )
 from .simulator import (
@@ -168,29 +169,40 @@ def _steane_round(
     ancilla = _apply_pauli(prepare_plus_all(code), x["ancilla"], z["ancilla"])
     # Transversal CNOT, data controlling ancilla, then the X faults after
     # it: the register reads m = a ^ d ^ flip_a and the data d ^ flip_d.
-    # Probabilities sum in the order of the product state (ancilla keys
-    # outer, data keys inner), so they match a joint-state measurement bit
-    # for bit without building it.
+    # The ancilla is uniform in magnitude over x_anc + S, S its row span,
+    # so an outcome's probability is |a|^2 times the data weight on the
+    # outcome's coset of S.  The weights sum in data order, so a seeded
+    # draw picks a joint-state measurement's branch unless it lands within
+    # a few ulps of a cumulative boundary.
     flip_d = x["cnot_data"] ^ x["cnot_both"]
     flip_a = x["cnot_ancilla"] ^ x["cnot_both"]
-    data_items = list(data.amps.items())
-    probs: dict[int, float] = {}
-    for ka, aa in ancilla.amps.items():
-        high = ka ^ flip_a
-        for kd, ad in data_items:
-            p = ad * aa
-            m = kd ^ high
-            probs[m] = probs.get(m, 0.0) + (p * p.conjugate()).real
+    span, pivots = _rref_ints(code.g0_basis.row_values() + [v.value for v in code.logical_x], n)
+    weights: dict[int, float] = {}
+    for kd, ad in data.amps.items():
+        rep = kd ^ x["ancilla"] ^ flip_a
+        for row, pivot in zip(span, pivots):
+            if rep >> pivot & 1:
+                rep ^= row
+        weights[rep] = weights.get(rep, 0.0) + (ad * ad.conjugate()).real
+    a0 = next(iter(ancilla.amps.values()))
+    a_sq = (a0 * a0.conjugate()).real
+    probs = {m: w * a_sq for rep, w in weights.items() for m in _enumerate_span_ints(span, rep)}
     outcome = _sample_outcome(probs, rng, force_outcomes)
     # Each ancilla key meets at most one data key on the measured branch.
-    scale = 1.0 / math.sqrt(probs[outcome])
+    # Its norm sums again in the product state's order (ancilla keys
+    # outer), so the kept amplitudes match a joint-state measurement's bit
+    # for bit.
     kept = {}
+    norm_sq = 0.0
     for ka, aa in ancilla.amps.items():
         kd = outcome ^ ka ^ flip_a
         ad = data.amps.get(kd)
         if ad is not None:
-            kept[kd ^ flip_d] = ad * aa * scale
-    data = SparseState(n, kept)
+            p = ad * aa
+            norm_sq += (p * p.conjugate()).real
+            kept[kd ^ flip_d] = p
+    scale = 1.0 / math.sqrt(norm_sq)
+    data = SparseState(n, {k: p * scale for k, p in kept.items()})
 
     recorded = outcome ^ x["measurement"]
     syndrome_int = code.x_syndrome_of(recorded)
@@ -309,11 +321,12 @@ def pauli_residual(observed: SparseState, ideal: SparseState) -> Optional[PauliR
     """Find the minimum-site Pauli P with observed = P * ideal, up to a
     global phase.  Returns None when no Pauli relates the two states.
 
-    All X shifts mapping the ideal support onto the observed support are
-    tried; for each, the sign pattern is solved as a linear system whose
-    full solution space (particular solution plus null space of the support
-    differences) is enumerated to minimize the touched-site count.  Ties
-    go to the smallest ``(sites, x, z)`` with the patterns compared as
+    X shifts mapping the ideal support onto the observed support are tried
+    lightest first, until a shift alone touches more sites than the best
+    Pauli found.  For each, the sign pattern is solved as a linear system
+    whose full solution space (particular solution plus null space of the
+    support differences) is enumerated to minimize the touched-site count.
+    Ties go to the smallest ``(sites, x, z)`` with the patterns compared as
     integers, so the representative does not depend on the null-space
     basis.
     """
@@ -331,8 +344,11 @@ def pauli_residual(observed: SparseState, ideal: SparseState) -> Optional[PauliR
     rows, checks, null_basis = _eliminate_ints([k ^ k0 for k in ideal_keys[1:]], n)
     best: Optional[tuple[int, int, int]] = None
 
-    for k_id in ideal_keys:
-        r = k_out ^ k_id
+    # Every candidate from shift r touches at least |r| sites, so shifts go
+    # lightest first and the search stops past the best site count.
+    for r in sorted((k_out ^ k for k in ideal_keys), key=lambda v: (v.bit_count(), v)):
+        if best is not None and r.bit_count() > best[0]:
+            break
         if any((k ^ r) not in obs_keys for k in ideal_keys):
             continue
         rho0 = observed.amps[k0 ^ r] / ideal.amps[k0]

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, text output, JSON schemas, files."""
 
 import json
+import os
+import stat
 import time
 
 import pytest
@@ -541,3 +543,42 @@ class TestUsageErrors:
     def test_level_below_two_is_refused(self, capsys, argv, level):
         # Orthogonality levels start at the pairwise overlaps.
         self.assert_below_limit_is_refused(capsys, argv, "--level", level, low=2)
+
+
+class TestWrittenFileMode:
+    # Every --out style file gets the mode open() gives a new file,
+    # 0o666 less the umask, not the 0600 of a private temporary file.
+    @pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+    def umask(self, request):
+        old = os.umask(request.param)
+        yield request.param
+        os.umask(old)
+
+    def _assert_modes(self, capsys, argv, paths, umask):
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        for path in paths:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
+    def test_cost_curve_out(self, capsys, tmp_path, umask):
+        path = tmp_path / "curve.csv"
+        argv = ["cost-curve", "--targets", "1e-13", "--out", str(path)]
+        self._assert_modes(capsys, argv, [path], umask)
+
+    def test_distill_out_and_per_trial(self, capsys, tmp_path, d2_file, model_file, umask):
+        out_json = tmp_path / "stats.json"
+        per_trial = tmp_path / "trials.csv"
+        argv = [
+            "distill", "--file", d2_file, "--model", model_file, "--trials", "100",
+            "--out", str(out_json), "--per-trial", str(per_trial),
+        ]
+        self._assert_modes(capsys, argv, [out_json, per_trial], umask)
+
+    def test_search_out(self, capsys, tmp_path, umask):
+        path = tmp_path / "found.txt"
+        argv = [
+            "search", "--n", str(SMALL8_SEARCH["n"]), "--k", str(SMALL8_SEARCH["k"]),
+            "--m-even", str(SMALL8_SEARCH["m_even"]), "--budget", str(SMALL8_SEARCH["budget"]),
+            "--seed", str(SMALL8_SEARCH["seed"]), "--out", str(path),
+        ]
+        self._assert_modes(capsys, argv, [path], umask)

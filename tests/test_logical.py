@@ -7,8 +7,16 @@ import random
 import pytest
 
 from triortho.codes import build_code
-from triortho.gf2 import BitVector
+from triortho.gf2 import (
+    BitVector,
+    _eliminate_ints,
+    _enumerate_span_ints,
+    _particular_ints,
+    _xor_rows,
+)
 from triortho.logical import (
+    _PAULI_BY_LOCATION,
+    _RESIDUAL_TOL,
     FAULT_LOCATIONS,
     FaultSpec,
     SteaneReport,
@@ -738,3 +746,133 @@ class TestRoundAgainstJointState:
         data = prepare_logical(builtin_code, (0,))
         with pytest.raises(ValueError, match="negligible probability"):
             _steane_round(data, builtin_code, (), None, 1)
+
+    @pytest.mark.parametrize("fixture", ("d2_code", "small10_code", "small8_code"))
+    def test_sparse_supports_partly_fill_cosets(self, fixture, request):
+        # Code states, before or after H, meet each coset of the ancilla's
+        # row span S in all of it or in a whole half.  These supports meet
+        # a few cosets in a random proper subset each, with random complex
+        # amplitudes, under the faults that move the register or its
+        # signs: ancilla X and Z, CNOT legs, flips.
+        code = request.getfixturevalue(fixture)
+        span = code.g0_basis.row_values() + [v.value for v in code.logical_x]
+        locations = ("ancilla", "cnot_data", "cnot_ancilla", "cnot_both", "measurement")
+        faults = [
+            FaultSpec(location, pauli, q)
+            for location in locations
+            for pauli in _PAULI_BY_LOCATION[location]
+            for q in range(code.n)
+        ]
+        rng = random.Random(code.n)
+        for i in range(60):
+            data = _random_sparse_state(code.n, span, rng)
+            self._assert_agree(data, code, tuple(rng.sample(faults, i % 3)), seed=i)
+
+
+def _random_sparse_state(n, basis, rng, cosets=4):
+    # Up to ``cosets`` cosets of span(basis), each met in fewer keys than it
+    # holds, with random complex amplitudes.
+    keys = set()
+    for _ in range(rng.randint(1, cosets)):
+        rep = rng.getrandbits(n)
+        for _ in range(rng.randint(1, (1 << len(basis)) - 1)):
+            keys.add(rep ^ _xor_rows(basis, rng.getrandbits(len(basis))))
+    amps = {k: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for k in sorted(keys)}
+    return SparseState(n, amps).normalize()
+
+
+def exhaustive_pauli_residual(observed, ideal):
+    """``pauli_residual`` without its lightest-shift stop: every X shift
+    that maps the ideal support onto the observed one is walked over its
+    whole null space.  Returns ``(sites, x, z)`` or None."""
+    if observed.n != ideal.n:
+        return None
+    if len(observed.amps) != len(ideal.amps) or not ideal.amps:
+        return None
+    obs_keys = set(observed.amps)
+    ideal_keys = sorted(ideal.amps)
+    k_out = min(obs_keys)
+    k0 = ideal_keys[0]
+    rows, checks, null_basis = _eliminate_ints([k ^ k0 for k in ideal_keys[1:]], ideal.n)
+    best = None
+    for k_id in ideal_keys:
+        r = k_out ^ k_id
+        if any((k ^ r) not in obs_keys for k in ideal_keys):
+            continue
+        rho0 = observed.amps[k0 ^ r] / ideal.amps[k0]
+        if abs(abs(rho0) - 1.0) > _RESIDUAL_TOL:
+            continue
+        rhs = 0
+        for i, k in enumerate(ideal_keys[1:]):
+            s = observed.amps[k ^ r] / ideal.amps[k] / rho0
+            if abs(s + 1.0) <= _RESIDUAL_TOL:
+                rhs |= 1 << i
+            elif abs(s - 1.0) > _RESIDUAL_TOL:
+                break
+        else:
+            t0 = _particular_ints(rows, checks, rhs)
+            if t0 is None:
+                continue
+            for t in _enumerate_span_ints(null_basis, t0):
+                sites = (r | t).bit_count()
+                if best is None or sites <= best[0] and (sites, r, t) < best:
+                    best = (sites, r, t)
+    return best
+
+
+def _residual_triple(observed, ideal):
+    residual = pauli_residual(observed, ideal)
+    if residual is None:
+        return None
+    return residual.sites, residual.x_pattern.value, residual.z_pattern.value
+
+
+class TestResidualAgainstExhaustiveWalk:
+    @pytest.mark.parametrize("fixture", TestRoundAgainstJointState.FIXTURES)
+    def test_sweep_outputs(self, fixture, request):
+        # Every weight-1 case of the sweep and 200 sampled weight-2 cases.
+        code = request.getfixturevalue(fixture)
+        data, ideal = _generic_logical_state(code)
+        data = _transversal_h(data)
+        universe = _fault_universe(code.n)
+        rng = random.Random(code.n)
+        cases = [(f,) for f in universe]
+        cases += rng.sample(list(itertools.combinations(universe, 2)), 200)
+        for faults in cases:
+            out, _ = _steane_round(data, code, faults, rng, None)
+            assert _residual_triple(out, ideal) == exhaustive_pauli_residual(out, ideal), faults
+
+    def test_random_paulis_on_sparse_states(self):
+        # Half the states carry X symmetries, so several shifts pass and
+        # the stop decides between them; a phase of i on one amplitude
+        # makes the pair unrelated.
+        rng = random.Random(11)
+        unrelated = 0
+        for i in range(400):
+            n = rng.randint(3, 8)
+            basis = [rng.getrandbits(n) for _ in range(rng.randint(1, 3))]
+            if i % 2:
+                ideal = _random_sparse_state(n, basis, rng, cosets=2)
+            else:
+                ideal = _x_symmetric_state(n, basis, rng)
+            observed = _apply_pauli(ideal, rng.getrandbits(n), rng.getrandbits(n))
+            if rng.random() < 0.2:
+                key = rng.choice(list(observed.amps))
+                observed = SparseState(n, {**observed.amps, key: observed.amps[key] * 1j})
+            want = exhaustive_pauli_residual(observed, ideal)
+            unrelated += want is None
+            assert _residual_triple(observed, ideal) == want
+        assert unrelated > 0
+
+
+def _x_symmetric_state(n, basis, rng):
+    # A few whole cosets of span(basis), each with one random amplitude
+    # times the signs (-1)^(z.k) of one random z: X on any span element
+    # multiplies the state by a sign.
+    z = rng.getrandbits(n)
+    amps = {}
+    for _ in range(rng.randint(1, 3)):
+        a = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        for k in _enumerate_span_ints(basis, rng.getrandbits(n)):
+            amps[k] = -a if (k & z).bit_count() & 1 else a
+    return SparseState(n, amps).normalize()
