@@ -9,11 +9,15 @@ the way.  The search expands every kind-consistent stack up to a depth
 bound, pruning states that another state of their kind beats on both error
 and cost (all menu polynomials are monotone on [0, 1], so dominated states
 stay dominated), and skips protocols whose output kind cannot reach a
-deliverable kind in the levels left.  The target error only selects among
-the expanded stacks, so ``cost_curve`` runs one search per call.  Its two
-columns are the paper's: the cheapest stack over the whole menu ending in
-the eight-T Toffoli (family ``jones``) and the cheapest ending in a
-triorthogonal Toffoli level (``triortho``).
+deliverable kind in the levels left.  At each depth it evaluates each usable
+protocol once, on the float64 array of fresh errors of its input kind.
+Every power is Python's float ``**`` (libm ``pow``), never numpy's
+``power``, which differs in the last bit for some inputs, so the arrays
+reproduce one-stack-at-a-time arithmetic bit for bit.  The target error only
+selects among the expanded stacks, so ``cost_curve`` runs one search per
+call.  Its two columns are the paper's: the cheapest stack over the whole
+menu ending in the eight-T Toffoli (family ``jones``) and the cheapest
+ending in a triorthogonal Toffoli level (``triortho``).
 
 Kinds encode error structure, not just state type: the Toffoli-level
 triorthogonal formula assumes input error spread uniformly over the seven
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields, replace
-from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "DELIVERABLE_KINDS",
@@ -56,8 +61,22 @@ Poly = tuple[tuple[float, int], ...]
 DELIVERABLE_KINDS = frozenset({"toffoli", "toffoli_distilled"})
 
 
-def _eval_poly(poly: Poly, p: float) -> float:
-    return sum(coeff * p**degree for coeff, degree in poly)
+def _eval_poly(poly: Poly, p: float | np.ndarray, name: str) -> float | np.ndarray:
+    # Summed left to right from 0.0, powers by Python's float ** (libm pow):
+    # an array gives its elements' scalar values bit for bit.
+    array = isinstance(p, np.ndarray)
+    total = np.zeros(p.shape) if array else 0.0
+    for coeff, degree in poly:
+        try:
+            if degree <= 1:
+                power = p if degree else 1.0
+            else:
+                power = np.array([x**degree for x in p.tolist()]) if array else p**degree
+        except OverflowError:  # |x|**d grows with |x|: the largest input overflows
+            worst = float(np.max(np.abs(p)))
+            raise ValueError(f"{name}: float overflow at input error {worst!r}") from None
+        total = total + coeff * power
+    return total
 
 
 @dataclass(frozen=True)
@@ -86,11 +105,12 @@ class ProtocolSpec:
         if self.success_prob(0.0) != 1.0:
             raise ValueError(f"{self.name}: perfect inputs must always succeed")
 
-    def output_error(self, p: float) -> float:
-        return _eval_poly(self.error_poly, p)
+    # Each takes one input error or a float64 array of them.
+    def output_error(self, p: float | np.ndarray) -> float | np.ndarray:
+        return _eval_poly(self.error_poly, p, self.name)
 
-    def success_prob(self, p: float) -> float:
-        return _eval_poly(self.success_poly, p)
+    def success_prob(self, p: float | np.ndarray) -> float | np.ndarray:
+        return _eval_poly(self.success_poly, p, self.name)
 
 
 def _check_k(k: int) -> None:
@@ -229,104 +249,130 @@ class InfeasibleTargetError(Exception):
         self.best_error = best_error
 
 
-class _State(NamedTuple):
-    # One stack: its last level is ``spec`` applied to ``parent``'s output.
-    error: float
-    cost: float
-    depth: int
-    kind: str
-    success: float
-    spec: Optional[ProtocolSpec]
-    parent: Optional["_State"]
+class _Layer(NamedTuple):
+    # The stacks of one depth that end in one kind.  Rows starts[i] to
+    # starts[i + 1] are specs[i] applied to fresh stacks of the depth before;
+    # ``parent`` indexes that depth's layer of the spec's input kind.
+    specs: list[ProtocolSpec]
+    starts: list[int]
+    error: np.ndarray
+    cost: np.ndarray
+    success: np.ndarray
+    parent: np.ndarray
 
 
-def _prune(states: list[_State]) -> list[_State]:
-    # Keep the Pareto frontier in (error, cost), deterministically: of
-    # states equal in (error, cost, depth), the smallest name chain.
-    ordered = sorted(states, key=attrgetter("error", "cost", "depth"))
-    kept: list[_State] = []
-    best_cost = math.inf
-    for st in ordered:
-        if st.cost < best_cost:
-            kept.append(st)
-            best_cost = st.cost
-        elif (
-            kept
-            and st.error == kept[-1].error
-            and st.cost == best_cost
-            and st.depth == kept[-1].depth
-            and _names(st) < _names(kept[-1])
-        ):
-            kept[-1] = st
-    return kept
+def _levels(layers: dict, depth: int, kind: str, row: int) -> tuple[StackLevel, ...]:
+    # The levels of one stack, first level first.
+    levels = []
+    while depth:
+        layer = layers[depth, kind]
+        spec = layer.specs[np.searchsorted(layer.starts, row, "right") - 1]
+        parent = int(layer.parent[row])
+        input_error = float(layers[depth - 1, spec.input_kind].error[parent])
+        outputs = float(layer.error[row]), float(layer.success[row])
+        levels.append(StackLevel(spec, input_error, *outputs))
+        depth, kind, row = depth - 1, spec.input_kind, parent
+    return tuple(reversed(levels))
 
 
-def _expand(menu: Sequence[ProtocolSpec], physical: float, max_depth: int) -> list[_State]:
-    # Every deliverable stack the pruned search reaches, in discovery order.
-    # need[kind]: fewest levels (< max_depth) to a deliverable kind.  A state
-    # that cannot deliver in the levels left is never built: it could only
-    # prune later states of its kind, which are just as hopeless.
+def _names(layers: dict, depth: int, kind: str, row: int) -> tuple[str, ...]:
+    return tuple(level.spec.name for level in _levels(layers, depth, kind, row))
+
+
+def _prune(layers: dict, depth: int, kind: str, frontier: np.ndarray) -> tuple:
+    # Merge the new layer into the kind's Pareto frontier in (error, cost),
+    # given and returned as rows error, cost, depth: in that order a stack
+    # stays if it is cheaper than every stack before it.  Also returns the
+    # layer rows that stay.  Of stacks equal in (error, cost, depth), all in
+    # this layer, the one with the smallest name chain stays.
+    layer = layers[depth, kind]
+    new = np.stack((layer.error, layer.cost, np.full(len(layer.error), float(depth))))
+    merged = np.concatenate((frontier, new), axis=1)
+    order = np.lexsort(merged[::-1])
+    merged = merged[:, order]
+    keep = merged[1] < np.fmin.accumulate(np.concatenate(([math.inf], merged[1, :-1])))
+    rows = order - frontier.shape[1]
+    tied = (merged[:, 1:] == merged[:, :-1]).all(axis=0)
+    run = np.cumsum(np.concatenate(([True], ~tied)))
+    for head in np.flatnonzero(keep[:-1] & tied).tolist():
+        ties = rows[run == run[head]].tolist()
+        rows[head] = min(ties, key=lambda row: _names(layers, depth, kind, row))
+    return merged[:, keep], rows[keep & (rows >= 0)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent, as in Python float arithmetic
+def _expand(menu: Sequence[ProtocolSpec], physical: float, max_depth: int) -> dict:
+    # Every stack the pruned search reaches, as layers keyed by (depth, kind);
+    # depth 0 holds the physical T state.  need[kind]: fewest levels
+    # (< max_depth) to a deliverable kind.  A stack that cannot deliver in the
+    # levels left is never built: it could only prune later stacks of its
+    # kind, which are just as hopeless.
     need = dict.fromkeys(DELIVERABLE_KINDS, 0)
     for levels in range(1, max_depth):
         for spec in menu:
             if need.get(spec.output_kind, levels) < levels:
                 need.setdefault(spec.input_kind, levels)
-    start = _State(physical, 1.0, 0, "T", 1.0, None, None)
-    frontier: dict[str, list[_State]] = {"T": [start]}
-    fresh = [start]
-    candidates: list[_State] = []
+    layers = {(0, "T"): _Layer([], [0, 1], np.array([physical], float), np.ones(1), None, None)}
+    frontier = {"T": np.array([[physical], [1.0], [0.0]])}
+    fresh, empty = {"T": np.zeros(1, np.intp)}, np.empty((3, 0))
     for depth in range(1, max_depth + 1):
         usable: dict[str, list[ProtocolSpec]] = {}
         for spec in menu:
             if need.get(spec.output_kind, max_depth) <= max_depth - depth:
                 usable.setdefault(spec.input_kind, []).append(spec)
-        by_kind: dict[str, list[_State]] = {}
-        for st in fresh:
-            for spec in usable.get(st.kind, ()):
-                success = spec.success_prob(st.error)
-                if success <= 0.0:
-                    continue
-                error = spec.output_error(st.error)
-                cost = st.cost * spec.inputs_per_output / success
-                new = _State(error, cost, depth, spec.output_kind, success, spec, st)
-                by_kind.setdefault(new.kind, []).append(new)
-                if new.kind in DELIVERABLE_KINDS:
-                    candidates.append(new)
-        fresh = []
-        for kind, states in by_kind.items():
-            frontier[kind] = merged = _prune(frontier.get(kind, []) + states)
-            survivors = set(map(id, merged))
-            fresh.extend(s for s in states if id(s) in survivors)
-    return candidates
+        chunks: dict[str, list[tuple]] = {}
+        for kind, rows in fresh.items():
+            below = layers[depth - 1, kind]
+            errors, costs = below.error[rows], below.cost[rows]
+            for spec in usable.get(kind, ()) if len(rows) else ():
+                success = spec.success_prob(errors)
+                live = ~(success <= 0.0)  # a NaN success keeps its stack
+                success = success[live]
+                cost = costs[live] * spec.inputs_per_output / success
+                chunk = (spec, spec.output_error(errors[live]), cost, success, rows[live])
+                chunks.setdefault(spec.output_kind, []).append(chunk)
+        fresh = {}
+        for kind, parts in chunks.items():
+            specs, *columns = zip(*parts)
+            starts = np.cumsum([0, *map(len, columns[0])]).tolist()
+            layers[depth, kind] = _Layer(list(specs), starts, *map(np.concatenate, columns))
+            frontier[kind], fresh[kind] = _prune(layers, depth, kind, frontier.get(kind, empty))
+    return layers
 
 
-def _chain(st: _State) -> list[_State]:
-    # The states of a stack, first level first.
-    return [] if st.parent is None else _chain(st.parent) + [st]
-
-
-def _names(st: _State) -> tuple[str, ...]:
-    return tuple(s.spec.name for s in _chain(st))
-
-
-def _select(candidates: list[_State], query: CostQuery) -> CostResult:
-    # The cheapest candidate meeting the query, by (cost, depth, names).
+def _select(layers: dict, query: CostQuery) -> CostResult:
+    # The cheapest deliverable stack meeting the query, by (cost, depth,
+    # names): a masked minimum per layer, names only on an exact tie.
     family = query.required_final_family
-    candidates = [st for st in candidates if family in (None, st.spec.family)]
-    feasible = [st for st in candidates if st.error <= query.target_error]
-    if not feasible:
-        best_error = min((st.error for st in candidates), default=None)
+    mine, feasible, costs = {}, {}, []
+    for (depth, kind), layer in layers.items():
+        if kind not in DELIVERABLE_KINDS:
+            continue
+        picks = [family in (None, spec.family) for spec in layer.specs]
+        rows = mine[depth, kind] = np.repeat(picks, np.diff(layer.starts))
+        ok = feasible[depth, kind] = rows & (layer.error <= query.target_error)
+        if ok.any():
+            costs.append((float(layer.cost[ok].min()), depth))
+    if not costs:
+        errors = [float(layers[key].error[rows].min()) for key, rows in mine.items() if rows.any()]
+        best_error = min(errors, default=None)
         raise InfeasibleTargetError(
             f"no stack of depth <= {query.max_depth} reaches {query.target_error:g}"
             + (f" (best achieved {best_error:g})" if best_error is not None else ""),
             best_error=best_error,
         )
-    best = min(feasible, key=attrgetter("cost", "depth"))
-    ties = [st for st in feasible if st.cost == best.cost and st.depth == best.depth]
+    cost, depth = min(costs)
+    ties = [
+        (kind, row)
+        for (d, kind), ok in feasible.items()
+        if d == depth
+        for row in np.flatnonzero(ok & (layers[d, kind].cost == cost)).tolist()
+    ]
+    kind, row = ties[0]
     if len(ties) > 1:
-        best = min(ties, key=_names)
-    levels = tuple(StackLevel(s.spec, s.parent.error, s.error, s.success) for s in _chain(best))
-    return CostResult(expected_t_count=best.cost, achieved_error=best.error, levels=levels)
+        kind, row = min(ties, key=lambda tie: _names(layers, depth, *tie))
+    error = float(layers[depth, kind].error[row])
+    return CostResult(cost, error, _levels(layers, depth, kind, row))
 
 
 def optimize_stack(query: CostQuery) -> CostResult:
@@ -365,17 +411,19 @@ def cost_curve(
     entry of any other family fills no column, and a missing family or an
     infeasible target leaves a blank cell.  Every target is checked as a
     ``CostQuery`` first.  The stack search ignores the target, so it runs
-    once per call and each cell only selects among its stacks.
+    once per call and each cell only selects among its stacks.  On a 2-core
+    x86-64 machine (Python 3.11, numpy 2.4) a call on the 15-target default
+    grid takes about 17 ms with the default menu and 54 ms with k up to 400.
     """
     menu = tuple(menu)
     queries = [CostQuery(target, physical_t_error, menu, max_depth) for target in targets]
     families = ("jones", "triortho")
     searched = any(spec.family in families for spec in menu)
-    candidates = _expand(menu, physical_t_error, max_depth) if searched else []
+    layers = _expand(menu, physical_t_error, max_depth) if searched else {}
 
     def cell(query: CostQuery, family: str) -> Optional[CostResult]:
         try:
-            return _select(candidates, replace(query, required_final_family=family))
+            return _select(layers, replace(query, required_final_family=family))
         except InfeasibleTargetError:
             return None
 

@@ -478,6 +478,19 @@ class TestCostCurve:
         assert out == ""
         assert err.startswith(f"error: {message} must be in")
 
+    def test_overflowing_menu_is_an_error_naming_the_entry(self, capsys, tmp_path):
+        # boom's output, 1e198, overflows sq's p^2 one level later.
+        from triortho.cost import ProtocolSpec, jones_toffoli, menu_to_json
+
+        boom = ProtocolSpec("boom", 0.5, ((1e200, 1),), ((1.0, 0),), "T", "T")
+        sq = ProtocolSpec("sq", 2.0, ((1.0, 2),), ((1.0, 0),), "T", "T")
+        path = tmp_path / "menu.json"
+        path.write_text(json.dumps(menu_to_json([boom, sq, jones_toffoli()])))
+        code, out, err = run(capsys, ["cost-curve", "--targets", "1e-13", "--menu", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: sq: float overflow at input error 1e+198\n"
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

@@ -1,11 +1,14 @@
 """Distillation stack cost model and optimizer."""
 
+import collections
 import dataclasses
 import itertools
 import json
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from triortho import cost as cost_mod
@@ -602,3 +605,153 @@ class TestMenuJson:
         other = dataclasses.replace(spec, family="jones_double")
         (row,) = cost_curve(default_menu() + [other], [1e-6], 1e-2)
         assert row.jones == base.jones
+
+
+def dense_menu(rng, tag):
+    """Five to eight random specs, the first three T -> T, plus one or two
+    renamed twins of specs that feed another level.  Success polynomials are
+    steep enough to go negative on part of a level's fresh errors."""
+    menu = []
+    for i in range(rng.randint(5, 8)):
+        terms = [(1.0, 0), (-(10.0 ** rng.uniform(0.5, 3.5)), 1)]
+        if rng.random() < 0.3:
+            terms.append((rng.uniform(-2e4, 2e4), 2))
+        input_kind, output_kind = "T", "T"
+        if i >= 3:
+            input_kind = rng.choice(["T", "T", "T", "toffoli", "A"])
+            output_kind = rng.choice(OUTPUT_KINDS)
+        menu.append(
+            ProtocolSpec(
+                name=f"{tag}-{i}",
+                inputs_per_output=rng.uniform(1.5, 16.0),
+                error_poly=((rng.uniform(0.5, 40.0), rng.choice([2, 3])),),
+                success_poly=tuple(terms),
+                input_kind=input_kind,
+                output_kind=output_kind,
+                family=rng.choice(["t", "jones", "triortho", ""]),
+            )
+        )
+    feeders = [spec for spec in menu if spec.output_kind in ("T", "toffoli", "A")]
+    for j in range(rng.randint(1, 2)):
+        # The digit puts the twin's name before or after its original's.
+        twin = dataclasses.replace(rng.choice(feeders), name=f"{tag}-{rng.randint(0, 9)}twin{j}")
+        menu.insert(rng.randint(0, len(menu)), twin)
+    return menu
+
+
+class TestArrayEvaluation:
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+    def test_arrays_match_scalars_bit_for_bit(self):
+        # numpy's own power differs from Python's float ** in the last bit
+        # for some inputs; the array path must not.
+        rng = np.random.default_rng(0xA77A)
+        p = 10.0 ** rng.uniform(-300.0, 5.0, 100_000)
+        polys = [((rng.uniform(-50.0, 50.0), degree),) for degree in range(6)]
+        polys.append(tuple((rng.uniform(-50.0, 50.0), degree) for degree in (3, 0, 5, 1, 2, 4)))
+        scalars = p.tolist()
+        for poly in polys:
+            got = cost_mod._eval_poly(poly, p, "poly")
+            want = [cost_mod._eval_poly(poly, x, "poly") for x in scalars]
+            assert got.dtype == np.float64 and got.shape == p.shape
+            assert np.array_equal(self.bits(got), self.bits(want)), poly
+        error_poly = tuple(term for term in polys[-1] if term[1] > 0)
+        success_poly = ((1.0, 0), (-2.5, 1), (0.75, 3))
+        spec = ProtocolSpec("mixed", 3.0, error_poly, success_poly, "T", "T")
+        for method in (spec.output_error, spec.success_prob):
+            want = [method(x) for x in scalars]
+            assert all(type(value) is float for value in want)
+            assert np.array_equal(self.bits(method(p)), self.bits(want))
+
+    def test_constant_polynomial_fills_the_array(self):
+        spec = ProtocolSpec("flat", 2.0, ((1.0, 2),), ((1.0, 0),), "T", "T")
+        got = spec.success_prob(np.array([0.5, 0.25, 0.0]))
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 1.0, 1.0]
+        assert spec.success_prob(np.empty(0)).shape == (0,)
+
+
+class TestOverflow:
+    BOOM = ProtocolSpec("boom", 0.5, ((1e200, 1),), ((1.0, 0),), "T", "T")
+    SQ = ProtocolSpec("sq", 2.0, ((1.0, 2),), ((1.0, 0),), "T", "T")
+    MESSAGE = re.escape("sq: float overflow at input error 1e+198")
+
+    def test_overflow_names_the_entry_and_input(self):
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}$"):
+            self.SQ.output_error(1e198)
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}$"):
+            self.SQ.output_error(np.array([1e-4, 1e198, 1e150]))
+        menu = (self.BOOM, self.SQ, jones_toffoli())
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}$"):
+            cost_curve(menu, [1e-13], 1e-2)
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}$"):
+            optimize_stack(CostQuery(1e-13, 1e-2, menu))
+
+    def test_a_discarded_branch_is_not_evaluated(self):
+        # jones-toffoli's p^2 would overflow on boom's output too, but its
+        # success probability there is negative, so the stack is dropped
+        # before its error is computed.
+        result = optimize_stack(CostQuery(1e-2, 1e-2, (self.BOOM, jones_toffoli()), 2))
+        assert [lv.spec.name for lv in result.levels] == ["jones-toffoli"]
+
+
+class TestReturnedTypes:
+    def test_every_reported_number_is_a_builtin_float(self):
+        menu = tuple(default_menu())
+        rows = cost_curve(menu, [10.0**-e for e in range(6, 21)], 1e-2)
+        for row in rows:
+            for value in (row.target_error, row.jones, row.triortho_k_opt):
+                assert value is None or type(value) is float
+            assert row.k_star is None or type(row.k_star) is int
+        assert "np.float64(" not in render_cost_curve_csv(rows)
+        assert "np." not in repr(rows)
+        result = optimize_stack(CostQuery(1e-13, 1e-2, menu))
+        assert type(result.expected_t_count) is float
+        assert type(result.achieved_error) is float
+        for level in result.levels:
+            for value in (level.input_error, level.output_error, level.success_prob):
+                assert type(value) is float
+        with pytest.raises(InfeasibleTargetError) as excinfo:
+            optimize_stack(CostQuery(1e-40, 1e-2, menu, max_depth=2))
+        assert type(excinfo.value.best_error) is float
+
+
+class TestDenseOracle:
+    def test_matches_brute_force_on_dense_menus(self):
+        # Larger random menus than test_matches_brute_force_on_random_menus:
+        # several specs per kind, twins that tie in (error, cost, depth)
+        # before the last level, and success polynomials that drop part of
+        # an array of fresh errors.
+        partial = []
+
+        class Recording(ProtocolSpec):
+            def success_prob(self, p):
+                success = super().success_prob(p)
+                if isinstance(p, np.ndarray) and 0 < np.count_nonzero(success <= 0.0) < len(p):
+                    partial.append(self.name)
+                return success
+
+        rng = random.Random(0xDE45E)
+        ties = 0
+        for trial in range(300):
+            specs = dense_menu(rng, f"d{trial}")
+            menu = tuple(Recording(*dataclasses.astuple(spec)) for spec in specs)
+            physical = 10.0 ** rng.uniform(-2, -1.3)
+            query = CostQuery(
+                target_error=physical * 10.0 ** rng.uniform(-12, 0),
+                physical_t_error=physical,
+                menu=menu,
+                max_depth=rng.randint(1, 4),
+                required_final_family=rng.choice([None, "jones", "triortho"]),
+            )
+            got = search(query)
+            expected, expected_best = brute_force(query)
+            assert_matches_oracle(query, expected, expected_best, got)
+            # A stack through one of a pair of twins tied one through the other.
+            shapes = collections.Counter(dataclasses.astuple(spec)[1:] for spec in menu)
+            if not isinstance(got, InfeasibleTargetError):
+                levels = got.levels[:-1]
+                ties += any(shapes[dataclasses.astuple(lv.spec)[1:]] > 1 for lv in levels)
+        assert len(partial) >= 10
+        assert ties >= 10
