@@ -26,13 +26,10 @@ from .simulator import (
     PhaseCheckResult,
     SparseState,
     apply_gate,
-    drop_qubits,
-    measure_register,
     prepare_logical,
     prepare_plus_all,
     states_equal_up_to_global_phase,
     superpose,
-    tensor,
     transversal_ccz_phase_check,
     transversal_multi_cz_phase_check,
 )
@@ -41,13 +38,11 @@ from .logical import (
     PauliResidual,
     SteaneReport,
     SweepReport,
-    ccz_via_toffoli_state,
     fault_tolerance_sweep,
     gauge_parities_of_state,
     logical_hadamard,
     pauli_residual,
     steane_x_correct,
-    toffoli_resource_state,
 )
 from .distill import (
     CoefficientReport,

@@ -303,12 +303,10 @@ def _xor_rows(rows: Sequence[int], mask: int) -> int:
     return acc
 
 
-def _check_rank(what: str, rank: int) -> None:
-    """Refuse to enumerate a span of rank above ``ENUMERATION_GUARD``."""
-    if rank > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{what} of rank {rank} exceeds enumeration guard 2**{ENUMERATION_GUARD}"
-        )
+def _check_rank(what: str, rank: int, limit: int = ENUMERATION_GUARD) -> None:
+    """Refuse to enumerate a span of rank above ``limit``."""
+    if rank > limit:
+        raise ValueError(f"{what} of rank {rank} exceeds enumeration guard 2**{limit}")
 
 
 def orthogonal_complement(matrix: BitMatrix) -> BitMatrix:

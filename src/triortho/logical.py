@@ -1,6 +1,6 @@
-"""Logical-level procedures: teleported CCZ, measurement-based Hadamard,
-Steane-style X correction, and a fault-injection sweep over X faults and
-measurement flips.
+"""Logical-level procedures: measurement-based Hadamard, Steane-style X
+correction, and a fault-injection sweep over X faults and measurement
+flips.
 
 The Hadamard procedure applies transversal H to the data block, entangles
 it into a freshly encoded all-plus ancilla block with transversal CNOT,
@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .codes import TriorthogonalCode
 from .gf2 import (
     BitVector,
+    _check_rank,
     _eliminate_ints,
     _enumerate_span_ints,
     _parities,
@@ -37,13 +38,9 @@ from .simulator import (
     _sample_outcome,
     _transversal_h,
     _walsh_hadamard,
-    apply_gate,
-    drop_qubits,
-    measure_register,
     prepare_logical,
     prepare_plus_all,
     superpose,
-    tensor,
 )
 
 __all__ = [
@@ -52,8 +49,6 @@ __all__ = [
     "SteaneReport",
     "logical_hadamard",
     "steane_x_correct",
-    "toffoli_resource_state",
-    "ccz_via_toffoli_state",
     "PauliResidual",
     "pauli_residual",
     "gauge_parities_of_state",
@@ -83,6 +78,8 @@ _PAULI_BY_LOCATION = {
 }
 
 _RESIDUAL_TOL = 1e-9  # pauli_residual's tolerance on |amplitude ratio| = 1 and on signs
+# Below ENUMERATION_GUARD: the null space is walked once for each X shift that passes.
+_RESIDUAL_GUARD = 20
 
 
 @dataclass(frozen=True)
@@ -258,53 +255,6 @@ def steane_x_correct(
     return _steane_round(state, code, faults, rng, force_outcomes)
 
 
-def toffoli_resource_state() -> SparseState:
-    """The three-qubit resource state for gate teleportation: a Toffoli
-    applied to |+,+,0>, with qubit 2 the target."""
-    state = SparseState.basis_state(3, 0)
-    for q in (0, 1, 2):
-        state = apply_gate(state, "H", (q,))
-    state = apply_gate(state, "CCZ", (0, 1, 2))
-    state = apply_gate(state, "H", (2,))
-    return state
-
-
-def ccz_via_toffoli_state(
-    inputs: SparseState,
-    resource: SparseState,
-    rng=None,
-    force_outcomes: Optional[int] = None,
-) -> tuple[SparseState, tuple[int, int, int]]:
-    """Perform CCZ on a three-qubit input by consuming a Toffoli state.
-
-    Hadamard on the resource target turns it into the CCZ magic state; each
-    resource qubit then controls a CNOT into the matching input qubit, the
-    inputs are measured out, and the outcome-dependent X, CZ, and Z
-    corrections are applied.  Returns the output state (on the resource
-    qubits) and the three measurement outcomes.
-    """
-    if inputs.n != 3 or resource.n != 3:
-        raise ValueError("inputs and resource must each be three qubits")
-    joint = tensor(inputs, resource)
-    joint = apply_gate(joint, "H", (5,))
-    for i in range(3):
-        joint = apply_gate(joint, "CNOT", (3 + i, i))
-    outcome, collapsed = measure_register(joint, (0, 1, 2), rng=rng, force=force_outcomes)
-    out = drop_qubits(collapsed, (0, 1, 2))
-    s = tuple((outcome >> i) & 1 for i in range(3))
-    for i in range(3):
-        if s[i]:
-            out = apply_gate(out, "X", (i,))
-    others = ((1, 2), (0, 2), (0, 1))
-    for i in range(3):
-        if s[i]:
-            out = apply_gate(out, "CZ", others[i])
-    for i, j, target in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        if s[i] and s[j]:
-            out = apply_gate(out, "Z", (target,))
-    return out, (s[0], s[1], s[2])
-
-
 @dataclass(frozen=True)
 class PauliResidual:
     """The cheapest Pauli explaining observed-vs-ideal, up to stabilizers.
@@ -366,11 +316,7 @@ def pauli_residual(observed: SparseState, ideal: SparseState) -> Optional[PauliR
             t0 = _particular_ints(rows, checks, rhs)
             if t0 is None:
                 continue
-            if len(null_basis) > 20:
-                raise ValueError(
-                    f"residual null space of rank {len(null_basis)} exceeds "
-                    "enumeration guard 2**20"
-                )
+            _check_rank("residual null space", len(null_basis), _RESIDUAL_GUARD)
             for t in _enumerate_span_ints(null_basis, t0):
                 sites = (r | t).bit_count()
                 if best is None or sites <= best[0] and (sites, r, t) < best:

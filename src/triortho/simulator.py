@@ -26,10 +26,7 @@ __all__ = [
     "NORM_TOL",
     "SparseState",
     "apply_gate",
-    "tensor",
     "superpose",
-    "drop_qubits",
-    "measure_register",
     "states_equal_up_to_global_phase",
     "LogicalBasisLabel",
     "prepare_logical",
@@ -183,17 +180,6 @@ def _transversal_h(state: SparseState) -> SparseState:
     return SparseState(n, out)
 
 
-def tensor(a: SparseState, b: SparseState) -> SparseState:
-    """Tensor product; ``b``'s qubits are placed above ``a``'s."""
-    shift = a.n
-    out: dict[int, complex] = {}
-    for kb, ab in b.amps.items():
-        high = kb << shift
-        for ka, aa in a.amps.items():
-            out[high | ka] = aa * ab
-    return SparseState(a.n + b.n, out)
-
-
 def superpose(terms: Sequence[tuple[complex, SparseState]]) -> SparseState:
     """Linear combination of same-width states, normalized."""
     if not terms:
@@ -224,21 +210,6 @@ def _gather(keys: Sequence[int], qubits: Sequence[int]) -> list[int]:
     return values
 
 
-def drop_qubits(state: SparseState, qubits: Sequence[int]) -> SparseState:
-    """Remove qubits whose value is constant across the support.
-
-    This is a relabeling, not a measurement; it raises if the dropped
-    qubits actually vary.
-    """
-    _check_qubits(state, qubits)
-    drop = set(qubits)
-    keys = list(state.amps)
-    if len(set(_gather(keys, sorted(drop)))) > 1:
-        raise ValueError("dropped qubits vary across the support")
-    keep = [q for q in range(state.n) if q not in drop]
-    return SparseState(len(keep), dict(zip(_gather(keys, keep), state.amps.values())))
-
-
 def _sample_outcome(probs: dict[int, float], rng, force: Optional[int]) -> int:
     """Pick an outcome of an unnormalized distribution.
 
@@ -259,34 +230,6 @@ def _sample_outcome(probs: dict[int, float], rng, force: Optional[int]) -> int:
         if r < acc:
             return key
     return max(probs)
-
-
-def measure_register(
-    state: SparseState,
-    qubits: Sequence[int],
-    rng=None,
-    force: Optional[int] = None,
-) -> tuple[int, SparseState]:
-    """Jointly measure several qubits in the Z basis; outcome bit ``i`` is
-    the value of ``qubits[i]``.
-
-    Sampling walks the outcome distribution in sorted key order so a given
-    rng stream always selects the same branch.  ``force`` selects a branch
-    explicitly and raises if its probability is negligible.
-    """
-    _check_qubits(state, qubits)
-    values = _gather(list(state.amps), qubits)
-    probs: dict[int, float] = {}
-    for value, a in zip(values, state.amps.values()):
-        probs[value] = probs.get(value, 0.0) + (a * a.conjugate()).real
-    outcome = _sample_outcome(probs, rng, force)
-    scale = 1.0 / math.sqrt(probs[outcome])
-    out = {
-        k: a * scale
-        for (k, a), value in zip(state.amps.items(), values)
-        if value == outcome
-    }
-    return outcome, SparseState(state.n, out)
 
 
 def states_equal_up_to_global_phase(a: SparseState, b: SparseState, tol: float = NORM_TOL) -> bool:

@@ -21,9 +21,10 @@ from triortho.simulator import (
     prepare_logical,
     states_equal_up_to_global_phase,
     superpose,
-    tensor,
     transversal_ccz_phase_check,
 )
+
+from oracles import tensor
 
 
 @pytest.fixture

@@ -296,3 +296,7 @@ def test_check_rank_names_rank_and_guard():
     with pytest.raises(ValueError) as excinfo:
         _check_rank("coset", 26)
     assert str(excinfo.value) == "coset of rank 26 exceeds enumeration guard 2**25"
+    _check_rank("coset", 20, 20)
+    with pytest.raises(ValueError) as excinfo:
+        _check_rank("coset", 21, 20)
+    assert str(excinfo.value) == "coset of rank 21 exceeds enumeration guard 2**20"

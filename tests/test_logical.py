@@ -28,29 +28,31 @@ from triortho.logical import (
     _generic_logical_state,
     _hadamard_pair,
     _steane_round,
-    ccz_via_toffoli_state,
     fault_tolerance_sweep,
     gauge_parities_of_state,
     logical_hadamard,
     pauli_residual,
     steane_x_correct,
-    toffoli_resource_state,
 )
 from triortho.simulator import (
     LogicalBasisLabel,
     SparseState,
     _transversal_h,
     apply_gate,
-    drop_qubits,
-    measure_register,
     prepare_logical,
     prepare_plus_all,
     states_equal_up_to_global_phase,
     superpose,
-    tensor,
 )
 
 from conftest import SMALL8_ROWS, direct_sum
+from oracles import (
+    ccz_via_toffoli_state,
+    drop_qubits,
+    measure_register,
+    tensor,
+    toffoli_resource_state,
+)
 
 
 def plus_state(code, sign=1.0):

@@ -18,18 +18,16 @@ from triortho.simulator import (
     SparseState,
     _transversal_h,
     apply_gate,
-    drop_qubits,
-    measure_register,
     prepare_logical,
     prepare_plus_all,
     states_equal_up_to_global_phase,
     superpose,
-    tensor,
     transversal_ccz_phase_check,
     transversal_multi_cz_phase_check,
 )
 
 from conftest import D2_ROWS, direct_sum
+from oracles import drop_qubits, measure_register, tensor
 
 
 class TestPrepareLogical:
