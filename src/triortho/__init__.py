@@ -25,7 +25,6 @@ from .simulator import (
     LogicalBasisLabel,
     PhaseCheckResult,
     SparseState,
-    apply_gate,
     prepare_logical,
     prepare_plus_all,
     states_equal_up_to_global_phase,

@@ -368,10 +368,12 @@ def search_triorthogonal(
 
     Rows are grown one at a time.  Every pair and triple parity constraint
     on the next row is linear in it, so candidates are sampled uniformly
-    from the affine solution space and kept when they extend the rank; a
-    stalled or inconsistent partial matrix is thrown away and the search
-    restarts.  The budget counts candidate rows drawn.  Deterministic for a
-    given seed; returns None when the budget is exhausted.
+    from the affine solution space and kept when they extend the rank, so
+    a full matrix is level 3 by construction (``from_matrix`` still
+    verifies it).  A stalled or inconsistent partial matrix is thrown away
+    and the search restarts.  The budget counts candidate rows drawn.
+    Deterministic for a given seed; returns None when the budget is
+    exhausted.
 
     Profile guidance for distance-2 targets: the even rows must jointly
     touch every column, yet inclusion-exclusion mod 2 makes their union's
@@ -420,8 +422,5 @@ def search_triorthogonal(
             continue
         stall = 0
         if len(kept) == m_even + k:
-            if _check_orthogonality_ints(kept, 3) is not None:
-                kept, echelon = [], {}
-                continue
             return TriorthogonalMatrix.from_matrix(BitMatrix.from_ints(kept, n), level=3)
     return None

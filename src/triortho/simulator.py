@@ -3,8 +3,9 @@
 States are dictionaries mapping basis keys (integers, bit ``i`` = qubit
 ``i``) to complex amplitudes.  Encoded states of a triorthogonal code are
 uniform superpositions over cosets of the even-row span, so supports stay
-small and every gate here preserves that sparsity except Hadamard, which
-grows it by at most a factor of two per application.
+small.  The module holds what the package runs on them: logical-state
+preparation, superposition and comparison up to a global phase, one-pass
+transversal Hadamard, and the transversal controlled-Z phase checks.
 
 Measurement randomness always comes from an explicit caller-supplied
 source (anything with a ``random()`` method, such as ``random.Random`` or
@@ -14,7 +15,10 @@ branches can be forced instead of sampled.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -25,7 +29,6 @@ __all__ = [
     "PRUNE_EPS",
     "NORM_TOL",
     "SparseState",
-    "apply_gate",
     "superpose",
     "states_equal_up_to_global_phase",
     "LogicalBasisLabel",
@@ -38,10 +41,6 @@ __all__ = [
 
 PRUNE_EPS = 1e-14
 NORM_TOL = 1e-12
-
-GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2, "CCZ": 3}
-
-_SQRT_HALF = math.sqrt(0.5)
 
 
 class SparseState:
@@ -87,48 +86,6 @@ class SparseState:
 
     def __repr__(self) -> str:
         return f"SparseState(n={self.n}, support={len(self.amps)})"
-
-
-def _check_qubits(state: SparseState, qubits: Sequence[int]) -> None:
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"qubits must be distinct, got {tuple(qubits)}")
-    for q in qubits:
-        if not 0 <= q < state.n:
-            raise ValueError(f"qubit {q} out of range for {state.n} qubits")
-
-
-def apply_gate(state: SparseState, gate: str, qubits: Sequence[int]) -> SparseState:
-    """Apply one gate from {X, Z, H, CNOT, CZ, CCZ}, returning a new state.
-
-    CNOT's first qubit is the control.  Diagonal gates never change the
-    support; X and CNOT permute it; H at most doubles it.
-    """
-    arity = GATE_ARITY.get(gate)
-    if arity is None:
-        raise ValueError(f"unknown gate {gate!r}")
-    if len(qubits) != arity:
-        raise ValueError(f"{gate} takes {arity} qubit(s), got {len(qubits)}")
-    _check_qubits(state, qubits)
-    amps = state.amps
-    if gate == "H":
-        mask = 1 << qubits[0]
-        out: dict[int, complex] = {}
-        for k, a in amps.items():
-            lo = k & ~mask
-            hi = k | mask
-            contrib = a * _SQRT_HALF
-            out[lo] = out.get(lo, 0.0) + contrib
-            out[hi] = out.get(hi, 0.0) + (-contrib if k & mask else contrib)
-        return SparseState(state.n, out).prune()
-    if gate in ("X", "CNOT"):
-        # Flip the last listed qubit where every earlier one is set.
-        controls = sum(1 << q for q in qubits[:-1])
-        target = 1 << qubits[-1]
-        flipped = {(k ^ target if (k & controls) == controls else k): a for k, a in amps.items()}
-        return SparseState(state.n, flipped)
-    # Z, CZ, CCZ: negate where every listed qubit is set.
-    mask = sum(1 << q for q in qubits)
-    return SparseState(state.n, {k: -a if (k & mask) == mask else a for k, a in amps.items()})
 
 
 def _walsh_hadamard(coeffs: list) -> list:
@@ -336,7 +293,9 @@ def transversal_multi_cz_phase_check(
     multiplies each joint basis term by the parity of the common support of
     the h coset representatives.  The check passes when that parity is the
     same for every term and equals the logical phase, the product of the
-    label bits summed across logical qubits.
+    label bits summed across logical qubits.  A label's gauge bits select
+    its block's gauge sector, and a nonzero sector is checked as given:
+    there the transversal gate need not act as the logical one.
     """
     h = len(labels)
     if h < 2:
@@ -348,7 +307,7 @@ def transversal_multi_cz_phase_check(
 
     labs = [LogicalBasisLabel.of(lab) for lab in labels]
     # Preparing the cosets first rejects a label of the wrong length.
-    cosets = [list(prepare_logical(code, lab.bits).amps) for lab in labs]
+    cosets = [list(prepare_logical(code, lab).amps) for lab in labs]
     expected_parity = 0
     for i in range(code.k):
         product = 1
@@ -357,28 +316,19 @@ def transversal_multi_cz_phase_check(
         expected_parity ^= product
     expected = -1 if expected_parity else 1
 
-    first: Optional[int] = None
-    terms = 0
-
-    def scan(depth: int, acc: int) -> Optional[int]:
-        nonlocal first, terms
-        if depth == h:
-            parity = acc.bit_count() & 1
-            terms += 1
-            if first is None:
-                first = parity
-                return None
-            if parity != first:
-                return parity
-            return None
-        for v in cosets[depth]:
-            bad = scan(depth + 1, acc & v)
-            if bad is not None:
-                return bad
-        return None
-
-    mismatch = scan(0, (1 << code.n) - 1)
-    uniform = mismatch is None
+    # Each joint term picks up the parity of the blocks' common support;
+    # the walk stops at the first term whose parity differs from the first.
+    parities = (
+        functools.reduce(operator.and_, term).bit_count() & 1
+        for term in itertools.product(*cosets)
+    )
+    first = next(parities)
+    terms, uniform = 1, True
+    for parity in parities:
+        terms += 1
+        if parity != first:
+            uniform = False
+            break
     phase = -1 if first else 1
     return PhaseCheckResult(phase=phase, expected=expected, uniform=uniform, terms=terms)
 

@@ -1,10 +1,13 @@
 """Reference implementations kept only as test oracles.
 
-The joint-state helpers (``tensor``, ``measure_register``,
-``drop_qubits``) build, measure and relabel a full multi-register state;
-the package's Steane round works from the data support instead, and the
-tests compare it against a round through these.  ``toffoli_resource_state``
-and ``ccz_via_toffoli_state`` teleport CCZ through a Toffoli state, the
+``apply_gate`` applies one gate from {X, Z, H, CNOT, CZ, CCZ} at a time:
+it is the gate-by-gate reference for the package's one-pass
+``_transversal_h`` and for the transversal CCZ phase check.  The
+joint-state helpers (``tensor``, ``measure_register``, ``drop_qubits``)
+build, measure and relabel a full multi-register state; the package's
+Steane round works from the data support instead, and the tests compare
+it against a round through these.  ``toffoli_resource_state`` and
+``ccz_via_toffoli_state`` teleport CCZ through a Toffoli state, the
 injection route the package does not take (its CCZ is transversal).
 """
 
@@ -13,13 +16,53 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from triortho.simulator import (
-    SparseState,
-    _check_qubits,
-    _gather,
-    _sample_outcome,
-    apply_gate,
-)
+from triortho.simulator import SparseState, _gather, _sample_outcome
+
+GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2, "CCZ": 3}
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _check_qubits(state: SparseState, qubits: Sequence[int]) -> None:
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"qubits must be distinct, got {tuple(qubits)}")
+    for q in qubits:
+        if not 0 <= q < state.n:
+            raise ValueError(f"qubit {q} out of range for {state.n} qubits")
+
+
+def apply_gate(state: SparseState, gate: str, qubits: Sequence[int]) -> SparseState:
+    """Apply one gate from {X, Z, H, CNOT, CZ, CCZ}, returning a new state.
+
+    CNOT's first qubit is the control.  Diagonal gates never change the
+    support; X and CNOT permute it; H at most doubles it.
+    """
+    arity = GATE_ARITY.get(gate)
+    if arity is None:
+        raise ValueError(f"unknown gate {gate!r}")
+    if len(qubits) != arity:
+        raise ValueError(f"{gate} takes {arity} qubit(s), got {len(qubits)}")
+    _check_qubits(state, qubits)
+    amps = state.amps
+    if gate == "H":
+        mask = 1 << qubits[0]
+        out: dict[int, complex] = {}
+        for k, a in amps.items():
+            lo = k & ~mask
+            hi = k | mask
+            contrib = a * _SQRT_HALF
+            out[lo] = out.get(lo, 0.0) + contrib
+            out[hi] = out.get(hi, 0.0) + (-contrib if k & mask else contrib)
+        return SparseState(state.n, out).prune()
+    if gate in ("X", "CNOT"):
+        # Flip the last listed qubit where every earlier one is set.
+        controls = sum(1 << q for q in qubits[:-1])
+        target = 1 << qubits[-1]
+        flipped = {(k ^ target if (k & controls) == controls else k): a for k, a in amps.items()}
+        return SparseState(state.n, flipped)
+    # Z, CZ, CCZ: negate where every listed qubit is set.
+    mask = sum(1 << q for q in qubits)
+    return SparseState(state.n, {k: -a if (k & mask) == mask else a for k, a in amps.items()})
 
 
 def tensor(a: SparseState, b: SparseState) -> SparseState:

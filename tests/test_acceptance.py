@@ -17,14 +17,13 @@ from triortho.cost import CostQuery, default_menu, optimize_stack
 from triortho.distill import ErrorModel, enumerate_order2, monte_carlo, propagate
 from triortho.logical import fault_tolerance_sweep, gauge_parities_of_state, logical_hadamard
 from triortho.simulator import (
-    apply_gate,
     prepare_logical,
     states_equal_up_to_global_phase,
     superpose,
     transversal_ccz_phase_check,
 )
 
-from oracles import tensor
+from oracles import apply_gate, tensor
 
 
 @pytest.fixture

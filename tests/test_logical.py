@@ -38,7 +38,6 @@ from triortho.simulator import (
     LogicalBasisLabel,
     SparseState,
     _transversal_h,
-    apply_gate,
     prepare_logical,
     prepare_plus_all,
     states_equal_up_to_global_phase,
@@ -47,6 +46,7 @@ from triortho.simulator import (
 
 from conftest import SMALL8_ROWS, direct_sum
 from oracles import (
+    apply_gate,
     ccz_via_toffoli_state,
     drop_qubits,
     measure_register,

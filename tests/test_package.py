@@ -75,3 +75,15 @@ def test_documented_private_names_resolve():
     assert any(where == "README.md" for where, _ in names)
     stale = [(where, name) for where, name in names if not _resolves(name)]
     assert not stale, f"backticked private names that no triortho module defines: {stale}"
+
+
+def test_no_module_carries_a_test_oracle():
+    # The references in tests/oracles.py stay outside the package they check.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    oracles = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "apply_gate" in oracles
+    modules = [triortho, *(importlib.import_module(f"triortho.{m}") for m in MODULES)]
+    carried = sorted(
+        f"{module.__name__}.{name}" for module in modules for name in oracles if hasattr(module, name)
+    )
+    assert not carried, f"package modules define test-oracle names: {carried}"

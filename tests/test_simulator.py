@@ -17,7 +17,6 @@ from triortho.simulator import (
     LogicalBasisLabel,
     SparseState,
     _transversal_h,
-    apply_gate,
     prepare_logical,
     prepare_plus_all,
     states_equal_up_to_global_phase,
@@ -27,7 +26,7 @@ from triortho.simulator import (
 )
 
 from conftest import D2_ROWS, direct_sum
-from oracles import drop_qubits, measure_register, tensor
+from oracles import apply_gate, drop_qubits, measure_register, tensor
 
 
 class TestPrepareLogical:
@@ -200,6 +199,28 @@ class TestPhaseChecks:
         a = transversal_multi_cz_phase_check(builtin_code, labels)
         b = transversal_ccz_phase_check(builtin_code, labels)
         assert (a.phase, a.uniform, a.terms) == (b.phase, b.uniform, b.terms)
+
+    def test_gauge_bits_are_checked_as_given(self, builtin_code):
+        # A nonzero gauge sector on block 0 breaks the common phase; an
+        # all-zero gauge label is the plain label.
+        gauged = LogicalBasisLabel((1,), (1, 0, 0, 0, 0, 0))
+        check = transversal_ccz_phase_check(builtin_code, [gauged, (1,), (1,)])
+        assert check.uniform is False
+        assert check.matches is False
+        zero = LogicalBasisLabel((1,), (0,) * 6)
+        check = transversal_ccz_phase_check(builtin_code, [zero, (1,), (1,)])
+        assert check == transversal_ccz_phase_check(builtin_code, [(1,), (1,), (1,)])
+        assert check.terms == 16**3
+
+    def test_mismatch_stops_at_first_differing_term(self):
+        # A level-2 matrix (k = 2) declared level 3 without verification:
+        # the fifth joint term's parity differs from the first.
+        m = TriorthogonalMatrix.from_matrix(BitMatrix.from_strings(["11100", "11010", "10111"]))
+        assert m.level == 2
+        forced = TriorthogonalMatrix(m.matrix, m.even_rows, m.odd_rows, level=3)
+        check = transversal_multi_cz_phase_check(build_code(forced), [(0, 0), (0, 1), (1, 0)])
+        assert (check.uniform, check.phase, check.terms) == (False, 1, 5)
+        assert not check.matches
 
     def test_h_above_level_rejected(self):
         m = TriorthogonalMatrix.from_matrix(BitMatrix.from_strings(["111"]))
