@@ -40,12 +40,17 @@ DEFAULT_SEED = 0x5EED
 BUILTINS = {"15-1-3": builtin_15_1_3}
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+def _result(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
+    # A subcommand's one result: a sorted-key JSON line naming the command,
+    # or its text lines.
+    if args.format == "json":
+        sys.stdout.write(_json_line({**payload, "command": args.command}))
+    else:
+        sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _load_source(args: argparse.Namespace) -> TriorthogonalMatrix:
@@ -99,54 +104,39 @@ def _report_text(report: SteaneReport) -> str:
 def cmd_check_matrix(args: argparse.Namespace) -> int:
     matrix = read_matrix(args.file)
     violation = codes_mod.check_orthogonality(matrix, args.level)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "check-matrix",
-                "file": args.file,
-                "level": args.level,
-                "rows": matrix.row_count,
-                "cols": matrix.col_count,
-                "pass": violation is None,
-                "violation": list(violation) if violation else None,
-            }
-        )
+    payload = {
+        "file": args.file,
+        "level": args.level,
+        "rows": matrix.row_count,
+        "cols": matrix.col_count,
+        "pass": violation is None,
+        "violation": list(violation) if violation else None,
+    }
+    if violation is None:
+        line = f"PASS level={args.level} rows={matrix.row_count} cols={matrix.col_count}"
     else:
-        if violation is None:
-            _emit(f"PASS level={args.level} rows={matrix.row_count} cols={matrix.col_count}")
-        else:
-            _emit(f"FAIL level={len(violation)} rows={violation}")
+        line = f"FAIL level={len(violation)} rows={violation}"
+    _result(args, payload, [line])
     return 0 if violation is None else 1
 
 
 def cmd_build_code(args: argparse.Namespace) -> int:
     source = _load_source(args)
     code = build_code(source)
-    d_x = d_z = None
-    if args.distances:
-        d_x, d_z = distances(code)
     payload = {
-        "command": "build-code",
         "n": code.n,
         "k": code.k,
         "level": source.level,
         "x_stabilizers": code.x_stabilizers.row_count,
         "z_stabilizers": code.z_stabilizers.row_count,
         "gauge_pairs": len(code.gauge_pairs),
-        "d_x": d_x,
-        "d_z": d_z,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit(
-            f"n={code.n} k={code.k} level={source.level} "
-            f"x_stabilizers={payload['x_stabilizers']} "
-            f"z_stabilizers={payload['z_stabilizers']} "
-            f"gauge_pairs={payload['gauge_pairs']}"
-        )
-        if args.distances:
-            _emit(f"d_x={d_x} d_z={d_z} distance={min(d_x, d_z)}")
+    lines = [" ".join(f"{key}={value}" for key, value in payload.items())]
+    d_x = d_z = None
+    if args.distances:
+        d_x, d_z = distances(code)
+        lines.append(f"d_x={d_x} d_z={d_z} distance={min(d_x, d_z)}")
+    _result(args, {**payload, "d_x": d_x, "d_z": d_z}, lines)
     return 0
 
 
@@ -154,23 +144,18 @@ def cmd_search(args: argparse.Namespace) -> int:
     found = codes_mod.search_triorthogonal(
         n=args.n, k=args.k, m_even=args.m_even, budget=args.budget, seed=args.seed
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "search",
-                "seed": args.seed,
-                "budget": args.budget,
-                "n": args.n,
-                "k": args.k,
-                "m_even": args.m_even,
-                "found": found is not None,
-                "rows": [r.to_string() for r in found.matrix.rows] if found else None,
-                "out": args.out if found else None,
-            }
-        )
-    else:
-        _emit(f"# seed={args.seed} budget={args.budget}")
-        _emit("found" if found else "not found")
+    payload = {
+        "seed": args.seed,
+        "budget": args.budget,
+        "n": args.n,
+        "k": args.k,
+        "m_even": args.m_even,
+        "found": found is not None,
+        "rows": [r.to_string() for r in found.matrix.rows] if found else None,
+        "out": args.out if found else None,
+    }
+    lines = [f"# seed={args.seed} budget={args.budget}", "found" if found else "not found"]
+    _result(args, payload, lines)
     if found is None:
         return 1
     if args.out:
@@ -183,122 +168,98 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ccz(args: argparse.Namespace) -> int:
-    source = _load_source(args)
-    code = build_code(source)
-    k = code.k
-    all_ok = True
-    results = []
-    for labels in itertools.product([_label_bits(x, k) for x in range(1 << k)], repeat=3):
+    code = build_code(_load_source(args))
+    basis = [_label_bits(x, code.k) for x in range(1 << code.k)]
+    checks = []
+    for labels in itertools.product(basis, repeat=3):
         check = transversal_ccz_phase_check(code, labels)
-        ok = check.matches
-        all_ok &= ok
-        results.append((labels, check, ok))
-    if args.format == "json":
-        _emit_json(
+        checks.append(
             {
-                "command": "verify-ccz",
-                "n": code.n,
-                "k": k,
-                "all_ok": all_ok,
-                "checks": [
-                    {
-                        "labels": [_label_text(lab) for lab in labels],
-                        "phase": check.phase,
-                        "expected": check.expected,
-                        "uniform": check.uniform,
-                        "ok": ok,
-                    }
-                    for labels, check, ok in results
-                ],
+                "labels": [_label_text(lab) for lab in labels],
+                "phase": check.phase,
+                "expected": check.expected,
+                "uniform": check.uniform,
+                "ok": check.matches,
             }
         )
-    else:
-        for labels, check, ok in results:
-            rendered = ",".join(_label_text(lab) for lab in labels)
-            sign = "+1" if check.phase > 0 else "-1"
-            _emit(f"({rendered}) -> {sign}{'' if ok else ' MISMATCH'}")
-        _emit("PASS" if all_ok else "FAIL")
+    all_ok = all(c["ok"] for c in checks)
+    lines = [
+        f"({','.join(c['labels'])}) -> {c['phase']:+d}{'' if c['ok'] else ' MISMATCH'}"
+        for c in checks
+    ]
+    payload = {"n": code.n, "k": code.k, "all_ok": all_ok, "checks": checks}
+    _result(args, payload, lines + ["PASS" if all_ok else "FAIL"])
     return 0 if all_ok else 1
 
 
 def cmd_simulate_hadamard(args: argparse.Namespace) -> int:
-    source = _load_source(args)
-    code = build_code(source)
+    code = build_code(_load_source(args))
     state, ideal = _hadamard_pair(code, _input_coefficients(args.input, code.k))
     header = {
-        "command": "simulate-hadamard",
         "input": args.input,
         "n": code.n,
         "k": code.k,
         "seed": args.seed,
         "rounds": args.seeds,
     }
-    if args.format == "json":
-        _emit_json(header)
-    else:
-        _emit(f"# seed={args.seed} rounds={args.seeds} input={args.input}")
+    _result(args, header, [f"# seed={args.seed} rounds={args.seeds} input={args.input}"])
     all_ok = True
-    for offset in range(args.seeds):
-        rng = random.Random(args.seed + offset)
-        output, report = logical_hadamard(state, code, rng=rng)
+    # One line per round, written as the round finishes.
+    for seed in range(args.seed, args.seed + args.seeds):
+        output, report = logical_hadamard(state, code, rng=random.Random(seed))
         matches = states_equal_up_to_global_phase(output, ideal, tol=1e-10)
         gauge = gauge_parities_of_state(output, code)
         gauge_zero = gauge is not None and not any(gauge)
         all_ok &= matches and gauge_zero
         if args.format == "json":
-            _emit_json(
-                {
-                    **report.to_json_dict(),
-                    "matches_ideal": matches,
-                    "gauge_restored": gauge_zero,
-                    "seed": args.seed + offset,
-                }
-            )
+            round_payload = {"matches_ideal": matches, "gauge_restored": gauge_zero, "seed": seed}
+            sys.stdout.write(_json_line({**report.to_json_dict(), **round_payload}))
         else:
-            _emit(f"seed={args.seed + offset} {_report_text(report)} ok={matches and gauge_zero}")
-    if args.format != "json":
-        _emit("PASS" if all_ok else "FAIL")
+            sys.stdout.write(f"seed={seed} {_report_text(report)} ok={matches and gauge_zero}\n")
+    if args.format == "text":
+        sys.stdout.write("PASS\n" if all_ok else "FAIL\n")
     return 0 if all_ok else 1
 
 
 def cmd_inject_faults(args: argparse.Namespace) -> int:
-    source = _load_source(args)
-    code = build_code(source)
+    code = build_code(_load_source(args))
     faults = tuple(_parse_fault(f) for f in args.fault)
     state, ideal = _hadamard_pair(code, _input_coefficients(args.input, code.k))
-    rng = random.Random(args.seed)
-    output, report = logical_hadamard(state, code, faults=faults, rng=rng)
+    output, report = logical_hadamard(state, code, faults=faults, rng=random.Random(args.seed))
     residual = pauli_residual(output, ideal)
-    tolerated = residual is not None and residual.sites <= len(faults)
-    if args.format == "json":
-        _emit_json(
-            {
-                **report.to_json_dict(),
-                "command": "inject-faults",
-                "seed": args.seed,
-                "faults": [_fault_text(f) for f in faults],
-                "residual_sites": None if residual is None else residual.sites,
-                "tolerated": tolerated,
-            }
-        )
-    else:
-        _emit(f"# seed={args.seed} faults={len(faults)}")
-        for f in faults:
-            _emit(f"fault {_fault_text(f)}")
-        _emit(_report_text(report))
-        sites = "none" if residual is None else str(residual.sites)
-        _emit(f"residual_sites={sites} tolerated={tolerated}")
+    sites = None if residual is None else residual.sites
+    tolerated = sites is not None and sites <= len(faults)
+    payload = {
+        **report.to_json_dict(),
+        "seed": args.seed,
+        "faults": [_fault_text(f) for f in faults],
+        "residual_sites": sites,
+        "tolerated": tolerated,
+    }
+    lines = [
+        f"# seed={args.seed} faults={len(faults)}",
+        *(f"fault {text}" for text in payload["faults"]),
+        _report_text(report),
+        f"residual_sites={'none' if sites is None else sites} tolerated={tolerated}",
+    ]
+    _result(args, payload, lines)
     return 0 if tolerated else 1
 
 
 def cmd_distill(args: argparse.Namespace) -> int:
     source = _load_source(args)
+    if source.level < 3:
+        # Distillation rests on the transversal CCZ, so level 3 must hold
+        # whatever --level asked for; below three rows it holds vacuously.
+        source = TriorthogonalMatrix.from_matrix(source.matrix, level=3)
     with open(args.model, "r", encoding="ascii") as fh:
         model = distill_mod.ErrorModel.from_json_dict(json.load(fh))
     report = distill_mod.enumerate_order2(source, model)
     stats = distill_mod.monte_carlo(
         source, model, trials=args.trials, seed=args.seed, collect_trials=bool(args.per_trial)
     )
+    predicted = report.predicted_failure(model.p)
+    # The --out file is this payload, so it names its command itself.
     payload = {
         **stats.to_json_dict(),
         "command": "distill",
@@ -308,23 +269,18 @@ def cmd_distill(args: argparse.Namespace) -> int:
         "order2_coefficient": report.coefficient,
         "order2_pair_events": report.pair_events,
         "order2_identical_class_events": report.identical_class_events,
-        "predicted_failure": report.predicted_failure(model.p),
+        "predicted_failure": predicted,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit(f"# seed={args.seed} trials={args.trials} p={model.p!r}")
-        _emit(
-            f"accepted={stats.accepted} failures={stats.failures} "
-            f"acceptance_rate={stats.acceptance_rate!r} "
-            f"conditional_error_rate={stats.conditional_error_rate!r}"
-        )
-        _emit(
-            f"order2_coefficient={report.coefficient!r} "
-            f"predicted_failure={report.predicted_failure(model.p)!r}"
-        )
+    lines = [
+        f"# seed={args.seed} trials={args.trials} p={model.p!r}",
+        f"accepted={stats.accepted} failures={stats.failures} "
+        f"acceptance_rate={stats.acceptance_rate!r} "
+        f"conditional_error_rate={stats.conditional_error_rate!r}",
+        f"order2_coefficient={report.coefficient!r} predicted_failure={predicted!r}",
+    ]
+    _result(args, payload, lines)
     if args.out:
-        _atomic_write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
+        _atomic_write_text(args.out, _json_line(payload))
     if args.per_trial:
         _atomic_write_text(args.per_trial, _per_trial_csv(stats.trial_flags))
     return 0
@@ -354,19 +310,12 @@ def cmd_cost_curve(args: argparse.Namespace) -> int:
     csv_text = cost_mod.render_cost_curve_csv(rows)
     if args.out:
         _atomic_write_text(args.out, csv_text)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "cost-curve",
-                "physical_t_error": args.physical_t_error,
-                "rows": [dataclasses.asdict(row) for row in rows],
-                "out": args.out,
-            }
-        )
-    elif not args.out:
-        sys.stdout.write(csv_text)
-    else:
-        _emit(f"wrote {args.out}")
+    payload = {
+        "physical_t_error": args.physical_t_error,
+        "rows": [dataclasses.asdict(row) for row in rows],
+        "out": args.out,
+    }
+    _result(args, payload, [f"wrote {args.out}"] if args.out else csv_text.splitlines())
     return 0
 
 
@@ -389,60 +338,56 @@ _positive_int = _int_at_least(1)
 _level = _int_at_least(2)
 
 
-def _add_source_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
+def build_parser() -> argparse.ArgumentParser:
+    # Parent parsers: the options that several subcommands share.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="matrix text file")
     group.add_argument("--builtin", choices=sorted(BUILTINS), help="built-in matrix")
-    parser.add_argument("--level", type=_level, default=None, help="orthogonality level to verify")
+    source.add_argument("--level", type=_level, default=None, help="orthogonality level to verify")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triortho",
         description="Triorthogonal code construction, simulation, and cost analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, fmt])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check-matrix", help="verify row-product parities of a matrix file")
+    p = command("check-matrix", cmd_check_matrix, "verify row-product parities of a matrix file")
     p.add_argument("--file", required=True)
     p.add_argument("--level", type=_level, default=3)
-    add_format(p)
-    p.set_defaults(func=cmd_check_matrix)
 
-    p = sub.add_parser("build-code", help="derive code parameters from a matrix")
-    _add_source_args(p)
+    p = command("build-code", cmd_build_code, "derive code parameters from a matrix", source)
     p.add_argument("--distances", action="store_true", help="also compute exact distances")
-    add_format(p)
-    p.set_defaults(func=cmd_build_code)
 
-    p = sub.add_parser("search", help="randomized search for a triorthogonal matrix")
+    p = command("search", cmd_search, "randomized search for a triorthogonal matrix", seed)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m-even", type=int, required=True, dest="m_even")
     p.add_argument("--budget", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="write the found matrix here")
-    add_format(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify-ccz", help="check the transversal CCZ phase on all labels")
-    _add_source_args(p)
-    add_format(p)
-    p.set_defaults(func=cmd_verify_ccz)
+    command("verify-ccz", cmd_verify_ccz, "check the transversal CCZ phase on all labels", source)
 
-    p = sub.add_parser("simulate-hadamard", help="run the measurement-based logical Hadamard")
-    _add_source_args(p)
+    p = command(
+        "simulate-hadamard", cmd_simulate_hadamard,
+        "run the measurement-based logical Hadamard", source, seed,
+    )
     p.add_argument("--input", default="0", help="logical input: bits, '+', or '-'")
     p.add_argument("--seeds", type=_positive_int, default=1, help="number of seeded rounds")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_format(p)
-    p.set_defaults(func=cmd_simulate_hadamard)
 
-    p = sub.add_parser("inject-faults", help="run the Hadamard procedure with chosen faults")
-    _add_source_args(p)
+    p = command(
+        "inject-faults", cmd_inject_faults,
+        "run the Hadamard procedure with chosen faults", source, seed,
+    )
     p.add_argument(
         "--fault",
         action="append",
@@ -450,21 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"{_FAULT_SYNTAX}, e.g. cnot_data:X:7 (repeatable)",
     )
     p.add_argument("--input", default="0")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_format(p)
-    p.set_defaults(func=cmd_inject_faults)
 
-    p = sub.add_parser("distill", help="distillation census and Monte Carlo")
-    _add_source_args(p)
+    p = command("distill", cmd_distill, "distillation census and Monte Carlo", source, seed)
     p.add_argument("--model", required=True, help="error model JSON file")
     p.add_argument("--trials", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="write the stats JSON here")
     p.add_argument("--per-trial", dest="per_trial", help="write per-trial CSV here")
-    add_format(p)
-    p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("cost-curve", help="per-family cost table over target errors")
+    p = command("cost-curve", cmd_cost_curve, "per-family cost table over target errors")
     p.add_argument("--targets", help="comma-separated target errors")
     p.add_argument(
         "--physical-t-error", type=float, default=1e-2, dest="physical_t_error"
@@ -472,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--menu", help="protocol menu JSON file")
     p.add_argument("--max-depth", type=_positive_int, default=4, dest="max_depth")
     p.add_argument("--out", help="write the CSV here")
-    add_format(p)
-    p.set_defaults(func=cmd_cost_curve)
 
     return parser
 

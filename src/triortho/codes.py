@@ -187,9 +187,10 @@ class TriorthogonalCode:
     logical_z: tuple[BitVector, ...]
     gauge_pairs: tuple[GaugePair, ...]
     g0_basis: BitMatrix
-    d_x: Optional[int] = None
-    d_z: Optional[int] = None
-    _decoder: dict[int, int] = field(default_factory=dict, repr=False)
+    # Caches filled on demand, so equality ignores them.
+    d_x: Optional[int] = field(default=None, compare=False)
+    d_z: Optional[int] = field(default=None, compare=False)
+    _decoder: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def x_syndrome_of(self, pattern: int) -> int:
         """Syndrome of an X error pattern: bit j is the parity against

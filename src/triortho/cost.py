@@ -421,9 +421,8 @@ def cost_curve(
     infeasible target leaves a blank cell.  Every target is checked as a
     ``CostQuery`` first.  The stack search ignores the target, so it runs
     once per call, each family's row masks are built once, and each cell
-    only selects among its stacks.  On a 2-core x86-64 machine (Python
-    3.11, numpy 2.4) a call on the 15-target default grid takes about 12 ms
-    with the default menu and 46 ms with k up to 400.
+    only selects among its stacks.  ``python3 bench/run.py --workload cost
+    --seed 1 --seconds 20`` times a call on the 15-target default grid.
     """
     menu = tuple(menu)
     queries = [CostQuery(target, physical_t_error, menu, max_depth) for target in targets]

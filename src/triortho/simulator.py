@@ -317,11 +317,12 @@ def transversal_multi_cz_phase_check(
     expected = -1 if expected_parity else 1
 
     # Each joint term picks up the parity of the blocks' common support;
-    # the walk stops at the first term whose parity differs from the first.
-    parities = (
-        functools.reduce(operator.and_, term).bit_count() & 1
-        for term in itertools.product(*cosets)
-    )
+    # the walk ANDs each prefix of the first h - 1 blocks once, runs over
+    # the last block, and stops at the first term whose parity differs
+    # from the first.
+    *head, last = cosets
+    prefixes = (functools.reduce(operator.and_, term) for term in itertools.product(*head))
+    parities = ((prefix & v).bit_count() & 1 for prefix in prefixes for v in last)
     first = next(parities)
     terms, uniform = 1, True
     for parity in parities:

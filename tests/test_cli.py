@@ -396,6 +396,24 @@ class TestDistill:
         assert err == "error: matrix has no odd rows, so distillation has no outputs\n"
 
 
+class TestDistillNeedsLevelThree:
+    # Orthogonal at level 2, but the three rows together have odd overlap.
+    LEVEL2_ROWS = "010011\n101011\n110010\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("level", [[], ["--level", "2"]], ids=["probed", "level-2"])
+    def test_level_two_matrix_is_refused(self, capsys, tmp_path, model_file, level, fmt):
+        path = tmp_path / "l2.txt"
+        path.write_text(self.LEVEL2_ROWS)
+        assert main(["check-matrix", "--file", str(path), "--level", "2"]) == 0
+        capsys.readouterr()
+        argv = ["distill", "--file", str(path), "--model", model_file, "--trials", "1000"]
+        code, out, err = run(capsys, argv + level + ["--format", fmt])
+        assert code == 1
+        assert out == ""
+        assert err == "error: rows (0, 1, 2) have odd product weight at level 3\n"
+
+
 class TestCostCurve:
     def test_stdout_csv(self, capsys):
         code, out, _ = run(capsys, ["cost-curve", "--targets", "1e-13"])

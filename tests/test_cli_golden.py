@@ -32,6 +32,10 @@ DISTILL = [
     "--model", str(DATA_DIR / "distill_model.json"), "--seed", "7", "--trials", "20000",
 ]
 
+BUILD_CODE = ["build-code", "--builtin", "15-1-3", "--distances"]
+VERIFY_CCZ = ["verify-ccz", "--builtin", "15-1-3"]
+SEARCH = ["search", "--n", "8", "--k", "1", "--m-even", "3", "--budget", "50000", "--seed", "0"]
+
 # name -> (argv without --format, exit code)
 CASES = {
     "simulate_plus": (SIMULATE + ["--input", "+"], 0),
@@ -41,9 +45,17 @@ CASES = {
     "cost_curve": (COST, 0),
     "cost_curve_default": (COST_DEFAULT, 0),
     "distill": (DISTILL, 0),
+    "build_code": (BUILD_CODE, 0),
+    "verify_ccz": (VERIFY_CCZ, 0),
+    "search": (SEARCH, 0),
 }
 
 FORMATS = ("text", "json")
+
+SUBCOMMANDS = (
+    "check-matrix", "build-code", "search", "verify-ccz",
+    "simulate-hadamard", "inject-faults", "distill", "cost-curve",
+)
 
 
 def _run(argv):
@@ -64,6 +76,16 @@ def test_stdout_matches_golden(name, fmt):
     status, out = _run(argv + ["--format", fmt])
     assert status == expected_status
     assert out == _golden_path(name, fmt).read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_lists_format(command):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert f"usage: triortho {command}" in buf.getvalue()
+    assert "--format {text,json}" in buf.getvalue()
 
 
 if __name__ == "__main__":

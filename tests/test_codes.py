@@ -343,6 +343,18 @@ class TestSearch:
             search_triorthogonal(n=5, k=0, m_even=0, budget=10, seed=0)
 
 
+class TestCodeEquality:
+    def test_caches_are_not_compared(self):
+        # The decoder table and the distances fill in on first use; a code
+        # that has used them still equals a fresh one.
+        used, fresh = build_code(builtin_15_1_3()), build_code(builtin_15_1_3())
+        assert used == fresh
+        used.decode_x(0)
+        distances(used)
+        assert used._decoder and (used.d_x, used.d_z) == (7, 3)
+        assert used == fresh and fresh == used
+
+
 class TestDecoder:
     def test_entries_have_brute_force_minimum_weight(
         self, builtin_code, d2_code, small10_code, small8_code
