@@ -60,6 +60,15 @@ def _load_source(args: argparse.Namespace) -> TriorthogonalMatrix:
     return TriorthogonalMatrix.from_matrix(matrix, level=args.level)
 
 
+def _load_ccz_source(args: argparse.Namespace) -> TriorthogonalMatrix:
+    # The transversal CCZ needs level 3 whatever --level asked for, so a
+    # source below it is verified again; below three rows it holds vacuously.
+    source = _load_source(args)
+    if source.level < 3:
+        source = TriorthogonalMatrix.from_matrix(source.matrix, level=3)
+    return source
+
+
 # A --fault value lists FaultSpec's fields in order, joined by colons.
 _FAULT_SYNTAX = ":".join(f.name for f in dataclasses.fields(FaultSpec))
 
@@ -168,7 +177,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ccz(args: argparse.Namespace) -> int:
-    code = build_code(_load_source(args))
+    code = build_code(_load_ccz_source(args))
     basis = [_label_bits(x, code.k) for x in range(1 << code.k)]
     checks = []
     for labels in itertools.product(basis, repeat=3):
@@ -247,11 +256,7 @@ def cmd_inject_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_distill(args: argparse.Namespace) -> int:
-    source = _load_source(args)
-    if source.level < 3:
-        # Distillation rests on the transversal CCZ, so level 3 must hold
-        # whatever --level asked for; below three rows it holds vacuously.
-        source = TriorthogonalMatrix.from_matrix(source.matrix, level=3)
+    source = _load_ccz_source(args)
     with open(args.model, "r", encoding="ascii") as fh:
         model = distill_mod.ErrorModel.from_json_dict(json.load(fh))
     report = distill_mod.enumerate_order2(source, model)

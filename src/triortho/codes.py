@@ -16,7 +16,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .gf2 import (
@@ -45,9 +45,6 @@ __all__ = [
     "distances",
     "search_triorthogonal",
 ]
-
-_DECODER_LIMIT = 20  # the decoder table holds at most 2**_DECODER_LIMIT syndromes
-
 
 def _check_orthogonality_ints(rows: list[int], level: int) -> Optional[tuple[int, ...]]:
     # Level by level; before enumerating level j, refuse when levels 2..j
@@ -167,7 +164,7 @@ class GaugePair:
     z_part: BitVector
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriorthogonalCode:
     """A CSS code with explicit logical and gauge structure.
 
@@ -187,10 +184,6 @@ class TriorthogonalCode:
     logical_z: tuple[BitVector, ...]
     gauge_pairs: tuple[GaugePair, ...]
     g0_basis: BitMatrix
-    # Caches filled on demand, so equality ignores them.
-    d_x: Optional[int] = field(default=None, compare=False)
-    d_z: Optional[int] = field(default=None, compare=False)
-    _decoder: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def x_syndrome_of(self, pattern: int) -> int:
         """Syndrome of an X error pattern: bit j is the parity against
@@ -198,44 +191,35 @@ class TriorthogonalCode:
         return _parities(self.g0_basis.row_values(), pattern)
 
     def decode_x(self, syndrome: int) -> BitVector:
-        """Minimum-weight X pattern with the given syndrome.
+        """The lexicographically first minimum-weight X pattern with the
+        given syndrome; ValueError for a syndrome outside ``range(2**r)``,
+        r the number of X-stabilizer rows, or past ``_lightest_support``'s guard."""
+        r = self.g0_basis.row_count
+        if not 0 <= syndrome < 1 << r:
+            raise ValueError(f"syndrome {syndrome} outside range(2**{r})")
+        columns = _transpose_ints(self.g0_basis.row_values(), self.n)
+        return BitVector.from_support(_lightest_support(columns, syndrome.__eq__), self.n)
 
-        The table covers every syndrome in ``range(2**r)``, r the number of
-        X-stabilizer rows, and is built on the first call; a syndrome outside
-        that range, or a code with more than 2**20 syndromes, raises
-        ValueError."""
-        if not self._decoder:
-            self._decoder = _build_decoder(self.g0_basis.row_values(), self.n)
-        pattern = self._decoder.get(syndrome)
-        if pattern is None:
+
+def _lightest_support(columns: list[int], accept) -> tuple[int, ...]:
+    """The first support, by weight and then lexicographically, whose columns
+    XOR to a value ``accept`` takes; ValueError, naming the weight and its
+    count, before enumerating a weight of more than 2**ENUMERATION_GUARD supports."""
+    n = len(columns)
+    for weight in range(n + 1):
+        candidates = math.comb(n, weight)
+        if candidates > 1 << ENUMERATION_GUARD:
             raise ValueError(
-                f"syndrome {syndrome} outside range(2**{self.g0_basis.row_count})"
+                f"weight-{weight} search over {n} qubits has {candidates} candidates, "
+                f"exceeding enumeration guard 2**{ENUMERATION_GUARD}"
             )
-        return BitVector(pattern, self.n)
-
-
-def _build_decoder(g0_rows: list[int], n: int) -> dict[int, int]:
-    """Map every syndrome to a minimum-weight X pattern.
-
-    Breadth-first from syndrome 0, flipping one qubit per step in ascending
-    order, so the first pattern reaching a syndrome has minimum weight.  The
-    rows are independent, so all ``2**len(g0_rows)`` syndromes are reached.
-    """
-    if len(g0_rows) > _DECODER_LIMIT:
-        raise ValueError(
-            f"decoder table needs 2**{len(g0_rows)} syndromes, above the limit "
-            f"2**{_DECODER_LIMIT}"
+        values = (
+            functools.reduce(operator.xor, s, 0) for s in itertools.combinations(columns, weight)
         )
-    columns = _transpose_ints(g0_rows, n)
-    table = {0: 0}
-    queue = [0]
-    for syndrome in queue:
-        pattern = table[syndrome]
-        for q, column in enumerate(columns):
-            if syndrome ^ column not in table:
-                table[syndrome ^ column] = pattern ^ 1 << q
-                queue.append(syndrome ^ column)
-    return table
+        hits = itertools.compress(itertools.combinations(range(n), weight), map(accept, values))
+        for support in hits:
+            return support
+    raise ValueError(f"no support of {n} columns is accepted")
 
 
 def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
@@ -316,13 +300,11 @@ def distances(code: TriorthogonalCode) -> tuple[int, int]:
     d_x is the minimum weight over the matrix row space excluding the
     even-row span, found by enumerating that space.  d_z is the minimum
     weight over vectors orthogonal to all even rows but not to every odd
-    row, found by trying supports in order of weight; the odd rows
-    themselves qualify, so the search stops by their weight.  Both respect
-    the guard: the row space by its rank, the search by the candidate count
-    of its next weight.  Results are cached on the code.
+    row, the weight of ``_lightest_support``; the odd rows themselves
+    qualify, so the search stops by their weight.  Both respect the
+    guard: the row space by its rank, the search by the candidate count
+    of its next weight.
     """
-    if code.d_x is not None and code.d_z is not None:
-        return code.d_x, code.d_z
     n = code.n
     g0 = code.g0_basis.row_values()
     odd = [v.value for v in code.logical_x]
@@ -342,18 +324,7 @@ def distances(code: TriorthogonalCode) -> tuple[int, int]:
     # qualifies when every even-row bit is clear and some odd-row bit set.
     columns = _transpose_ints(g0 + odd, n)
     even_mask = (1 << len(g0)) - 1
-    for d_z in itertools.count(1):
-        candidates = math.comb(n, d_z)
-        if candidates > 1 << ENUMERATION_GUARD:
-            raise ValueError(
-                f"weight-{d_z} search over {n} qubits has {candidates} candidates, "
-                f"exceeding enumeration guard 2**{ENUMERATION_GUARD}"
-            )
-        supports = itertools.combinations(columns, d_z)
-        parities = (functools.reduce(operator.xor, s) for s in supports)
-        if any(p and not p & even_mask for p in parities):
-            break
-    code.d_x, code.d_z = d_x, d_z
+    d_z = len(_lightest_support(columns, lambda p: p and not p & even_mask))
     return d_x, d_z
 
 

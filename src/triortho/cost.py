@@ -422,7 +422,7 @@ def cost_curve(
     ``CostQuery`` first.  The stack search ignores the target, so it runs
     once per call, each family's row masks are built once, and each cell
     only selects among its stacks.  ``python3 bench/run.py --workload cost
-    --seed 1 --seconds 20`` times a call on the 15-target default grid.
+    --seed 1 --seconds 20`` times a default-menu call at 1e-10 and 1e-13.
     """
     menu = tuple(menu)
     queries = [CostQuery(target, physical_t_error, menu, max_depth) for target in targets]

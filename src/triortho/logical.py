@@ -110,8 +110,8 @@ class SteaneReport:
     ``applied_correction`` is the minimum-weight X pattern consistent with
     ``x_syndrome``; when gauge parities are nonzero the corresponding gauge
     X supports are applied to the data in addition to it.
-    ``decode_success`` is always true, since the decoder table covers every
-    syndrome; the field stays for the report format.
+    ``decode_success`` is always true: ``decode_x`` returns a pattern or
+    raises.  The field stays for the report format.
     """
 
     raw_outcomes: BitVector

@@ -9,6 +9,9 @@ Steane round works from the data support instead, and the tests compare
 it against a round through these.  ``toffoli_resource_state`` and
 ``ccz_via_toffoli_state`` teleport CCZ through a Toffoli state, the
 injection route the package does not take (its CCZ is transversal).
+``_build_decoder`` is the breadth-first syndrome table that
+``TriorthogonalCode.decode_x`` once read; the package now searches one
+syndrome's lightest support instead, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from triortho.gf2 import _transpose_ints
 from triortho.simulator import SparseState, _gather, _sample_outcome
 
 GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2, "CCZ": 3}
 
 _SQRT_HALF = math.sqrt(0.5)
+
+_DECODER_LIMIT = 20  # the decoder table holds at most 2**_DECODER_LIMIT syndromes
 
 
 def _check_qubits(state: SparseState, qubits: Sequence[int]) -> None:
@@ -164,3 +170,27 @@ def ccz_via_toffoli_state(
         if s[i] and s[j]:
             out = apply_gate(out, "Z", (target,))
     return out, (s[0], s[1], s[2])
+
+
+def _build_decoder(g0_rows: list[int], n: int) -> dict[int, int]:
+    """Map every syndrome to a minimum-weight X pattern.
+
+    Breadth-first from syndrome 0, flipping one qubit per step in ascending
+    order, so the first pattern reaching a syndrome has minimum weight.  The
+    rows are independent, so all ``2**len(g0_rows)`` syndromes are reached.
+    """
+    if len(g0_rows) > _DECODER_LIMIT:
+        raise ValueError(
+            f"decoder table needs 2**{len(g0_rows)} syndromes, above the limit "
+            f"2**{_DECODER_LIMIT}"
+        )
+    columns = _transpose_ints(g0_rows, n)
+    table = {0: 0}
+    queue = [0]
+    for syndrome in queue:
+        pattern = table[syndrome]
+        for q, column in enumerate(columns):
+            if syndrome ^ column not in table:
+                table[syndrome ^ column] = pattern ^ 1 << q
+                queue.append(syndrome ^ column)
+    return table

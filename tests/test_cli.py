@@ -231,6 +231,14 @@ class TestVerifyCcz:
         assert last["phase"] == -1
         assert last["ok"] is True
 
+    @pytest.mark.parametrize("level", [[], ["--level", "2"]], ids=["probed", "level-2"])
+    def test_level_two_matrix_is_refused(self, capsys, tmp_path, level):
+        path = tmp_path / "l2.txt"
+        path.write_text(TestDistillNeedsLevelThree.LEVEL2_ROWS)
+        code, out, err = run(capsys, ["verify-ccz", "--file", str(path), *level])
+        assert (code, out) == (1, "")
+        assert err == "error: rows (0, 1, 2) have odd product weight at level 3\n"
+
 
 class TestSimulateHadamard:
     def test_text_multi_seed(self, capsys):

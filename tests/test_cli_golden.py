@@ -47,6 +47,8 @@ CASES = {
     "distill": (DISTILL, 0),
     "build_code": (BUILD_CODE, 0),
     "verify_ccz": (VERIFY_CCZ, 0),
+    # An explicit level below 3 is verified again at 3: the same output.
+    "verify_ccz_level2": (VERIFY_CCZ + ["--level", "2"], 0),
     "search": (SEARCH, 0),
 }
 

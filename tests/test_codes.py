@@ -1,5 +1,6 @@
 """Orthogonality checking, code construction, distances, and search."""
 
+import dataclasses
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from conftest import (
     SMALL10_SEARCH,
     direct_sum,
 )
+from oracles import _build_decoder
 
 
 # Three block-diagonal copies of rows 111 and 110: orthogonal at every
@@ -345,14 +347,28 @@ class TestSearch:
 
 class TestCodeEquality:
     def test_caches_are_not_compared(self):
-        # The decoder table and the distances fill in on first use; a code
-        # that has used them still equals a fresh one.
+        # A code that has decoded and had its distances computed still
+        # equals a fresh one.
         used, fresh = build_code(builtin_15_1_3()), build_code(builtin_15_1_3())
         assert used == fresh
         used.decode_x(0)
-        distances(used)
-        assert used._decoder and (used.d_x, used.d_z) == (7, 3)
+        assert distances(used) == (7, 3)
         assert used == fresh and fresh == used
+
+    def test_frozen_record_hashes_and_refuses_assignment(self):
+        a, b = build_code(builtin_15_1_3()), build_code(builtin_15_1_3())
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.k = 2
+
+
+def _random_basis(rng, n, r):
+    # r random independent rows of n bits, in RREF.
+    while True:
+        rows, _ = _rref_ints([rng.getrandbits(n) for _ in range(r)], n)
+        if len(rows) == r:
+            return rows
 
 
 class TestDecoder:
@@ -370,13 +386,43 @@ class TestDecoder:
                 pattern = code.decode_x(s)
                 assert code.x_syndrome_of(pattern.value) == s
                 assert pattern.weight == best[s]
-            assert len(code._decoder) == 1 << r
             for outside in (1 << r, -1):
                 with pytest.raises(ValueError, match=rf"outside range\(2\*\*{r}\)"):
                     code.decode_x(outside)
 
-    def test_table_above_limit_fails_loudly_on_first_decode(self):
-        code = build_code(direct_sum(D2_ROWS, 7))
-        assert (code.n, code.g0_basis.row_count) == (98, 21)
-        with pytest.raises(ValueError, match=r"2\*\*21 syndromes, above the limit 2\*\*20"):
-            code.decode_x(0)
+    def test_matches_breadth_first_table(
+        self, builtin_code, d2_code, small10_code, small8_code
+    ):
+        # The search returns the pattern the breadth-first table stored:
+        # the lexicographically first support of the lightest weight.
+        # decode_x reads only n and g0_basis, so a random basis stands in
+        # for the stabilizers of a replaced code.
+        codes = [builtin_code, d2_code, small10_code, small8_code]
+        rng = random.Random(26)
+        for _ in range(300):
+            n = rng.randint(4, 12)
+            basis = _random_basis(rng, n, rng.randint(1, min(7, n)))
+            g0_basis = BitMatrix.from_ints(basis, n)
+            codes.append(dataclasses.replace(builtin_code, n=n, g0_basis=g0_basis))
+        for code in codes:
+            table = _build_decoder(code.g0_basis.row_values(), code.n)
+            assert len(table) == 1 << code.g0_basis.row_count
+            for s, pattern in table.items():
+                assert code.decode_x(s).value == pattern
+
+    def test_wide_code_decodes_by_weight_up_to_the_guard(self):
+        # 13 copies of D2 (n=182, r=39): no table of 2**39 syndromes, but
+        # one flip in each of three blocks decodes at weight 3.  One in
+        # each of four needs weight 4, past the enumeration guard.
+        code = build_code(direct_sum(D2_ROWS, 13))
+        assert (code.n, code.g0_basis.row_count) == (182, 39)
+        three = code.x_syndrome_of(sum(1 << 14 * b for b in range(3)))
+        pattern = code.decode_x(three)
+        assert pattern.weight == 3 and code.x_syndrome_of(pattern.value) == three
+        four = code.x_syndrome_of(sum(1 << 14 * b for b in range(4)))
+        with pytest.raises(
+            ValueError,
+            match=r"weight-4 search over 182 qubits has 44224635 candidates, "
+            r"exceeding enumeration guard 2\*\*25",
+        ):
+            code.decode_x(four)

@@ -87,3 +87,60 @@ def test_no_module_carries_a_test_oracle():
         f"{module.__name__}.{name}" for module in modules for name in oracles if hasattr(module, name)
     )
     assert not carried, f"package modules define test-oracle names: {carried}"
+
+
+PACKAGE_DIR = Path(triortho.__file__).parent
+
+
+def _read_names(tree):
+    # Every name a tree reads: loaded bare names and attribute names.
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _package_trees():
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+
+
+def test_no_module_imports_an_unused_name():
+    # __init__.py imports to re-export; every other module reads what it imports.
+    unused = []
+    for name, tree in _package_trees().items():
+        if name == "__init__.py":
+            continue
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused.extend(f"{name}:{b}" for b in bound if b not in read)
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_private_top_level_name_is_referenced():
+    # A private helper that only its own definition reads is a leftover.
+    statements = [(name, s) for name, tree in _package_trees().items() for s in tree.body]
+    reads = [_read_names(s) for _, s in statements]
+    unreferenced = []
+    for i, (name, statement) in enumerate(statements):
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            defined = [statement.name]
+        elif isinstance(statement, ast.Assign):
+            defined = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+        elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+            defined = [statement.target.id]
+        else:
+            continue
+        private = [d for d in defined if d.startswith("_") and not d.startswith("__")]
+        if private:
+            read = set().union(*reads[:i], *reads[i + 1 :])
+            unreferenced.extend(f"{name}:{d}" for d in private if d not in read)
+    assert not unreferenced, f"private top-level names never referenced: {unreferenced}"
