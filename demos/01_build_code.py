@@ -19,7 +19,7 @@ print("\nlevel-3 orthogonality:", "ok" if violation is None else f"violated at {
 
 code = build_code(source)
 print(f"\nn = {code.n}, k = {code.k}")
-print(f"X stabilizers: {code.x_stabilizers.row_count}")
+print(f"X stabilizers: {code.g0_basis.row_count}")
 print(f"Z stabilizers: {code.z_stabilizers.row_count}")
 print(f"gauge qubit pairs: {len(code.gauge_pairs)}")
 

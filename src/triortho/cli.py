@@ -117,12 +117,12 @@ def cmd_check_matrix(args: argparse.Namespace) -> int:
         "file": args.file,
         "level": args.level,
         "rows": matrix.row_count,
-        "cols": matrix.col_count,
+        "cols": matrix.n,
         "pass": violation is None,
         "violation": list(violation) if violation else None,
     }
     if violation is None:
-        line = f"PASS level={args.level} rows={matrix.row_count} cols={matrix.col_count}"
+        line = f"PASS level={args.level} rows={matrix.row_count} cols={matrix.n}"
     else:
         line = f"FAIL level={len(violation)} rows={violation}"
     _result(args, payload, [line])
@@ -136,7 +136,7 @@ def cmd_build_code(args: argparse.Namespace) -> int:
         "n": code.n,
         "k": code.k,
         "level": source.level,
-        "x_stabilizers": code.x_stabilizers.row_count,
+        "x_stabilizers": code.g0_basis.row_count,
         "z_stabilizers": code.z_stabilizers.row_count,
         "gauge_pairs": len(code.gauge_pairs),
     }

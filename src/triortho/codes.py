@@ -236,7 +236,7 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
         raise ValueError("matrix has no odd rows, so the code has no logical qubits")
 
     even = source.even_matrix()
-    g0_reduced, _ = _rref_ints(even.row_values(), n)
+    g0_reduced, _ = _rref_ints(even.row_values())
     g0_basis = BitMatrix.from_ints(g0_reduced, n)
 
     # The matrix has rank n minus the rank of its orthogonal complement.
@@ -264,7 +264,7 @@ def build_code(source: TriorthogonalMatrix) -> TriorthogonalCode:
         # Row-reduce [gram | I]: gram inverts exactly when its columns are
         # the first g pivots, and then the right half is the inverse.
         augmented = [row | 1 << (g + i) for i, row in enumerate(gram)]
-        reduced, pivots = _rref_ints(augmented, 2 * g)
+        reduced, pivots = _rref_ints(augmented)
         if pivots[:g] != list(range(g)):
             raise ValueError("gauge pairing is degenerate; matrix is not self-consistent")
         x_parts = [_xor_rows(quotient_reps, row >> g) for row in reduced]

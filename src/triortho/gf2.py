@@ -9,21 +9,23 @@ All operations that combine two vectors are length checked.  Callers that
 enumerate a span refuse ranks above ``ENUMERATION_GUARD``.
 
 Private kernels on raw integer rows do every GF(2) row operation in the
-package.  Two eliminations remain because each pins a pivot convention
-that printed results depend on: ``_rref_ints`` (lowest-bit pivots) gives
-the canonical bases behind printed syndromes and gauge pairs, and
-``_eliminate_ints`` (highest-bit pivots) reduces a system once so that
-``_particular_ints`` solves it per right-hand side, which fixes the rows a
-seeded search draws.  ``_echelon_step`` grows a lowest-bit-keyed echelon;
-``_transpose_ints``, ``_parities``, ``_xor_rows``, ``_check_rank`` and
-``_enumerate_span_ints`` transpose rows, take a vector's overlap parities,
-XOR the rows a mask selects, guard a rank, and walk a span or coset.
+package, in three parts.  ``_echelon_step`` grows an echelon keyed by each
+row's lowest bit, and ``_rref_ints`` builds the canonical basis on it
+(lowest-bit pivots, behind printed syndromes and gauge pairs).
+``_eliminate_ints`` reduces a system once by highest-bit pivots so that
+``_particular_ints`` solves it per right-hand side; those pivots fix the
+rows a seeded search draws.  ``_kernel_ints`` gives the null space of
+either reduced echelon.  ``_transpose_ints``, ``_parities``,
+``_xor_rows``, ``_check_rank`` and ``_enumerate_span_ints`` transpose rows,
+take a vector's overlap parities, XOR the rows a mask selects, guard a
+rank, and walk a span or coset.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
 ENUMERATION_GUARD = 25
 
 
+@dataclass(frozen=True, slots=True)
 class BitVector:
     """An immutable vector over GF(2) of fixed length ``n``.
 
@@ -48,18 +51,14 @@ class BitVector:
     Length is fixed at creation and every binary operation checks it.
     """
 
-    __slots__ = ("value", "n")
+    value: int
+    n: int
 
-    def __init__(self, value: int, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"length must be nonnegative, got {n}")
-        if value < 0 or value >> n:
-            raise ValueError(f"value 0x{value:x} does not fit in {n} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name: str, val: object) -> None:
-        raise AttributeError("BitVector is immutable")
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"length must be nonnegative, got {self.n}")
+        if self.value < 0 or self.value >> self.n:
+            raise ValueError(f"value 0x{self.value:x} does not fit in {self.n} bits")
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
@@ -114,14 +113,6 @@ class BitVector:
         self._check_length(other)
         return (self.value & other.value).bit_count() & 1
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self.value == other.value and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.n))
-
     def __len__(self) -> int:
         return self.n
 
@@ -129,10 +120,12 @@ class BitVector:
         return f"BitVector({self.to_string()!r})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class BitMatrix:
     """An immutable matrix over GF(2), stored as a tuple of BitVector rows."""
 
-    __slots__ = ("rows", "n")
+    rows: tuple[BitVector, ...]
+    n: int
 
     def __init__(self, rows: Sequence[BitVector], n: Optional[int] = None) -> None:
         rows = tuple(rows)
@@ -146,9 +139,6 @@ class BitMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, name: str, val: object) -> None:
-        raise AttributeError("BitMatrix is immutable")
-
     @classmethod
     def from_strings(cls, lines: Iterable[str]) -> "BitMatrix":
         return cls([BitVector.from_string(line) for line in lines])
@@ -161,55 +151,34 @@ class BitMatrix:
     def row_count(self) -> int:
         return len(self.rows)
 
-    @property
-    def col_count(self) -> int:
-        return self.n
-
     def row_values(self) -> list[int]:
         return [r.value for r in self.rows]
 
     @property
     def rank(self) -> int:
-        return len(_rref_ints(self.row_values(), self.n)[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.n))
+        return len(_rref_ints(self.row_values())[0])
 
     def __repr__(self) -> str:
         return f"BitMatrix({[r.to_string() for r in self.rows]!r})"
 
 
-def _rref_ints(rows: list[int], n: int) -> tuple[list[int], list[int]]:
+def _rref_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form on raw integer rows.
 
-    Returns (nonzero rows in pivot order, pivot columns).  Each returned row
-    has a leading 1 in its pivot column and that column is cleared in every
-    other row, so the output is a canonical basis of the row space.
+    Returns (nonzero rows in pivot order, pivot columns).  Each pivot is the
+    lowest bit of its row and is cleared in every other row, so the output
+    is a canonical basis of the row space.
     """
-    work = list(rows)
-    out: list[int] = []
-    pivots: list[int] = []
-    for col in range(n):
-        mask = 1 << col
-        pivot_row = None
-        for idx, r in enumerate(work):
-            if r & mask:
-                pivot_row = work.pop(idx)
-                break
-        if pivot_row is None:
-            continue
-        out = [r ^ pivot_row if r & mask else r for r in out]
-        work = [r ^ pivot_row if r & mask else r for r in work]
-        out.append(pivot_row)
-        pivots.append(col)
-        if not any(work):
-            break
-    return out, pivots
+    echelon: dict[int, int] = {}
+    for row in rows:
+        _echelon_step(echelon, row)
+    lows = sorted(echelon)
+    # Only rows with a lower pivot can hold a pivot's bit; clear from the top.
+    for i in reversed(range(len(lows))):
+        for low in lows[:i]:
+            if echelon[low] & lows[i]:
+                echelon[low] ^= echelon[lows[i]]
+    return [echelon[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
 def _eliminate_ints(
@@ -242,17 +211,18 @@ def _eliminate_ints(
         for j, (p, r, c) in enumerate(echelon):
             if j != i and (r >> pivot) & 1:
                 echelon[j] = (p, r ^ row, c ^ combo)
-    pivots = {pivot for pivot, _, _ in echelon}
-    kernel = []
-    for col in range(n):
-        if col in pivots:
-            continue
-        vec = 1 << col
-        for pivot, row, _ in echelon:
-            if (row >> col) & 1:
-                vec |= 1 << pivot
-        kernel.append(vec)
+    kernel = _kernel_ints([pivot for pivot, _, _ in echelon], [row for _, row, _ in echelon], n)
     return echelon, checks, kernel
+
+
+def _kernel_ints(pivots: Sequence[int], rows: Sequence[int], n: int) -> list[int]:
+    """The null space of a reduced echelon over ``n`` columns, each row's
+    pivot cleared in every other row: one vector per free column ``c``, in
+    ascending order, holding ``c`` and the pivot of every row with bit ``c``."""
+    free = sorted(set(range(n)).difference(pivots))
+    return [
+        sum(1 << p for p, row in zip(pivots, rows) if (row >> c) & 1) | 1 << c for c in free
+    ]
 
 
 def _particular_ints(
@@ -316,7 +286,7 @@ def orthogonal_complement(matrix: BitMatrix) -> BitMatrix:
     echelon form.  Its rank is ``n - rank(matrix)``.
     """
     _, _, kernel = _eliminate_ints(matrix.row_values(), matrix.n)
-    canonical, _ = _rref_ints(kernel, matrix.n)
+    canonical, _ = _rref_ints(kernel)
     return BitMatrix.from_ints(canonical, matrix.n)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .codes import TriorthogonalCode
-from .gf2 import _check_rank, _enumerate_span_ints, _rref_ints, _transpose_ints, _xor_rows
+from .gf2 import _check_rank, _enumerate_span_ints, _kernel_ints, _parities, _rref_ints, _xor_rows
 
 __all__ = [
     "PRUNE_EPS",
@@ -116,17 +116,16 @@ def _transversal_h(state: SparseState) -> SparseState:
         return SparseState(n)
     k0 = next(iter(state.amps))
     diffs = [k ^ k0 for k in state.amps]
-    basis, pivots = _rref_ints(diffs, n)
+    basis, pivots = _rref_ints(diffs)
     _check_rank("support span", len(basis))
     _check_rank("dual coset", n - len(basis))
+    units = [1 << p for p in pivots]
     coeffs = [0j] * (1 << len(basis))
-    for c, a in zip(_gather(diffs, pivots), state.amps.values()):
-        coeffs[c] = a
+    for d, a in zip(diffs, state.amps.values()):
+        coeffs[_parities(units, d)] = a
     _walsh_hadamard(coeffs)
     scale = 2.0 ** (-n / 2)
-    units = [1 << p for p in pivots]
-    columns = _transpose_ints(basis, n)
-    kernel = [1 << col | _xor_rows(units, columns[col]) for col in range(n) if col not in pivots]
+    kernel = _kernel_ints(pivots, basis, n)
     out: dict[int, complex] = {}
     for y, w in enumerate(coeffs):
         amp = w * scale
@@ -149,22 +148,6 @@ def superpose(terms: Sequence[tuple[complex, SparseState]]) -> SparseState:
         for k, a in st.amps.items():
             out[k] = out.get(k, 0.0) + coeff * a
     return SparseState(n, out).prune().normalize()
-
-
-def _gather(keys: Sequence[int], qubits: Sequence[int]) -> list[int]:
-    """Bit ``i`` of each result is the key's bit at ``qubits[i]``.
-
-    Each maximal run of consecutive qubits is read with one shift and mask,
-    so a contiguous register costs one shift and mask per key.
-    """
-    values = [0] * len(keys)
-    start = 0
-    for i in range(1, len(qubits) + 1):
-        if i == len(qubits) or qubits[i] != qubits[i - 1] + 1:
-            low, mask = qubits[start], (1 << (i - start)) - 1
-            values = [v | ((k >> low) & mask) << start for v, k in zip(values, keys)]
-            start = i
-    return values
 
 
 def _sample_outcome(probs: dict[int, float], rng, force: Optional[int]) -> int:

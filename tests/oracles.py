@@ -4,14 +4,18 @@
 it is the gate-by-gate reference for the package's one-pass
 ``_transversal_h`` and for the transversal CCZ phase check.  The
 joint-state helpers (``tensor``, ``measure_register``, ``drop_qubits``)
-build, measure and relabel a full multi-register state; the package's
-Steane round works from the data support instead, and the tests compare
-it against a round through these.  ``toffoli_resource_state`` and
-``ccz_via_toffoli_state`` teleport CCZ through a Toffoli state, the
-injection route the package does not take (its CCZ is transversal).
+build, measure and relabel a full multi-register state, reading registers
+through ``_gather``; the package's Steane round works from the data
+support instead, and the tests compare it against a round through these.
+``toffoli_resource_state`` and ``ccz_via_toffoli_state`` teleport CCZ
+through a Toffoli state, the injection route the package does not take
+(its CCZ is transversal).
 ``_build_decoder`` is the breadth-first syndrome table that
 ``TriorthogonalCode.decode_x`` once read; the package now searches one
 syndrome's lightest support instead, and the tests compare the two.
+``rref_by_column_scan`` is the column-by-column RREF that ``_rref_ints``
+once ran; the package now builds it on the lowest-bit echelon, and the
+tests compare the two.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from typing import Optional, Sequence
 
 from triortho.gf2 import _transpose_ints
-from triortho.simulator import SparseState, _gather, _sample_outcome
+from triortho.simulator import SparseState, _sample_outcome
 
 GATE_ARITY = {"X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2, "CCZ": 3}
 
@@ -80,6 +84,22 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
         for ka, aa in a.amps.items():
             out[high | ka] = aa * ab
     return SparseState(a.n + b.n, out)
+
+
+def _gather(keys: Sequence[int], qubits: Sequence[int]) -> list[int]:
+    """Bit ``i`` of each result is the key's bit at ``qubits[i]``.
+
+    Each maximal run of consecutive qubits is read with one shift and mask,
+    so a contiguous register costs one shift and mask per key.
+    """
+    values = [0] * len(keys)
+    start = 0
+    for i in range(1, len(qubits) + 1):
+        if i == len(qubits) or qubits[i] != qubits[i - 1] + 1:
+            low, mask = qubits[start], (1 << (i - start)) - 1
+            values = [v | ((k >> low) & mask) << start for v, k in zip(values, keys)]
+            start = i
+    return values
 
 
 def drop_qubits(state: SparseState, qubits: Sequence[int]) -> SparseState:
@@ -194,3 +214,31 @@ def _build_decoder(g0_rows: list[int], n: int) -> dict[int, int]:
                 table[syndrome ^ column] = pattern ^ 1 << q
                 queue.append(syndrome ^ column)
     return table
+
+
+def rref_by_column_scan(rows: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form by scanning the ``n`` columns in order.
+
+    Returns (nonzero rows in pivot order, pivot columns).  Each returned row
+    has a leading 1 in its pivot column and that column is cleared in every
+    other row, so the output is a canonical basis of the row space.
+    """
+    work = list(rows)
+    out: list[int] = []
+    pivots: list[int] = []
+    for col in range(n):
+        mask = 1 << col
+        pivot_row = None
+        for idx, r in enumerate(work):
+            if r & mask:
+                pivot_row = work.pop(idx)
+                break
+        if pivot_row is None:
+            continue
+        out = [r ^ pivot_row if r & mask else r for r in out]
+        work = [r ^ pivot_row if r & mask else r for r in work]
+        out.append(pivot_row)
+        pivots.append(col)
+        if not any(work):
+            break
+    return out, pivots

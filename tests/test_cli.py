@@ -10,7 +10,7 @@ import pytest
 from triortho.cli import main
 from triortho.codes import TriorthogonalMatrix, builtin_15_1_3
 from triortho.distill import MC_CHUNK, ErrorModel, monte_carlo
-from triortho.gf2 import format_matrix, parse_matrix, read_matrix
+from triortho.gf2 import BitMatrix, format_matrix, parse_matrix, read_matrix
 
 from conftest import D2_ROWS, SMALL8_ROWS, SMALL8_SEARCH
 
@@ -159,6 +159,22 @@ class TestBuildCode:
         code, out, _ = run(capsys, ["build-code", "--builtin", "15-1-3", "--level", "3"])
         assert code == 0
         assert out == probed
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_duplicate_even_row_counts_once(self, capsys, tmp_path, fmt):
+        # A repeated even row adds no X stabilizer: the counts stay those of
+        # the built-in rows, so n = k + x_stabilizers + z_stabilizers.
+        rows = builtin_15_1_3().matrix.rows
+        path = tmp_path / "dup.txt"
+        path.write_text(format_matrix(BitMatrix([*rows, rows[0]])))
+        _, builtin, _ = run(capsys, ["build-code", "--builtin", "15-1-3", "--format", fmt])
+        code, out, _ = run(capsys, ["build-code", "--file", str(path), "--format", fmt])
+        assert code == 0
+        assert out == builtin
+        if fmt == "json":
+            payload = json.loads(out)
+            n, k, x, z = (payload[key] for key in ("n", "k", "x_stabilizers", "z_stabilizers"))
+            assert (x, n) == (4, k + x + z)
 
     def test_file_source(self, capsys, d2_file):
         code, out, _ = run(capsys, ["build-code", "--file", d2_file, "--format", "json"])

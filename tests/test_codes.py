@@ -42,7 +42,7 @@ def _rank_growth_reps(code):
     span = code.g0_basis.row_values()
     reps = []
     for row in code.z_stabilizers.row_values():
-        if len(_rref_ints(span + [row], code.n)[0]) > len(span):
+        if len(_rref_ints(span + [row])[0]) > len(span):
             span = span + [row]
             reps.append(row)
     return reps
@@ -366,7 +366,7 @@ class TestCodeEquality:
 def _random_basis(rng, n, r):
     # r random independent rows of n bits, in RREF.
     while True:
-        rows, _ = _rref_ints([rng.getrandbits(n) for _ in range(r)], n)
+        rows, _ = _rref_ints([rng.getrandbits(n) for _ in range(r)])
         if len(rows) == r:
             return rows
 

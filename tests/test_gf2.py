@@ -11,6 +11,7 @@ from triortho.gf2 import (
     _echelon_step,
     _eliminate_ints,
     _enumerate_span_ints,
+    _kernel_ints,
     _parities,
     _particular_ints,
     _rref_ints,
@@ -22,6 +23,8 @@ from triortho.gf2 import (
     read_matrix,
     write_matrix,
 )
+
+from oracles import rref_by_column_scan
 
 X_STAB_ROW_1 = "000000011111111"
 X_STAB_ROW_2 = "000111100001111"
@@ -71,17 +74,17 @@ def test_rref_rank_of_builtin_x_rows():
         "011001100110011",
         "101010101010101",
     ]
-    reduced, pivots = _rref_ints(BitMatrix.from_strings(rows).row_values(), 15)
+    reduced, pivots = _rref_ints(BitMatrix.from_strings(rows).row_values())
     assert len(reduced) == 4
     assert len(pivots) == 4
 
 
 def test_rref_identity_and_duplicates():
     ident = BitMatrix.from_strings(["100", "010", "001"])
-    assert _rref_ints(ident.row_values(), 3) == (ident.row_values(), [0, 1, 2])
+    assert _rref_ints(ident.row_values()) == (ident.row_values(), [0, 1, 2])
 
     dup = BitMatrix.from_strings(["1011", "1011"])
-    reduced, pivots = _rref_ints(dup.row_values(), 4)
+    reduced, pivots = _rref_ints(dup.row_values())
     assert pivots == [0]
     assert BitMatrix.from_ints(reduced, 4) == BitMatrix.from_strings(["1011"])
 
@@ -156,7 +159,7 @@ def test_enumerate_span_cardinality_random():
         n = rng.randrange(1, 16)
         m = rng.randrange(0, 6)
         mat = BitMatrix.from_ints([rng.getrandbits(n) for _ in range(m)], n)
-        values = set(_enumerate_span_ints(_rref_ints(mat.row_values(), n)[0]))
+        values = set(_enumerate_span_ints(_rref_ints(mat.row_values())[0]))
         assert len(values) == 1 << mat.rank
 
 
@@ -225,7 +228,7 @@ def test_eliminate_ints_matches_brute_force():
             assert particular is None
             continue
         assert particular is not None
-        assert len(_rref_ints(kernel, n)[0]) == len(kernel)
+        assert len(_rref_ints(kernel)[0]) == len(kernel)
         assert set(_enumerate_span_ints(kernel, particular)) == exact
     assert outcomes == {True, False}
 
@@ -280,13 +283,13 @@ def test_echelon_step_tracks_rref_rank():
         rows = [rng.getrandbits(n) if rng.random() > 0.2 else 0 for _ in range(m)]
         echelon: dict[int, int] = {}
         for i, row in enumerate(rows):
-            before = len(_rref_ints(rows[:i], n)[0])
-            after = len(_rref_ints(rows[: i + 1], n)[0])
+            before = len(_rref_ints(rows[:i])[0])
+            after = len(_rref_ints(rows[: i + 1])[0])
             reduced = _echelon_step(echelon, row)
             assert bool(reduced) == (after > before)
             assert len(echelon) == after
             # The reduced row differs from the row by a member of the span.
-            span = set(_enumerate_span_ints(_rref_ints(rows[:i], n)[0]))
+            span = set(_enumerate_span_ints(_rref_ints(rows[:i])[0]))
             assert row ^ reduced in span
         assert all(key == row & -row for key, row in echelon.items())
 
@@ -300,3 +303,32 @@ def test_check_rank_names_rank_and_guard():
     with pytest.raises(ValueError) as excinfo:
         _check_rank("coset", 21, 20)
     assert str(excinfo.value) == "coset of rank 21 exceeds enumeration guard 2**20"
+
+
+def _random_row_lists(seed, count):
+    # Row lists over n = 1..20 with up to 24 rows, zero and duplicate rows included.
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 21)
+        rows = [rng.getrandbits(n) if rng.random() > 0.15 else 0 for _ in range(rng.randrange(23))]
+        for _ in range(rng.randrange(3) if rows else 0):
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+        yield rows, n
+
+
+def test_rref_ints_matches_column_scan():
+    for rows, n in _random_row_lists(31, 600):
+        assert _rref_ints(rows) == rref_by_column_scan(rows, n)
+
+
+def test_kernel_ints_spans_the_null_space_by_free_column():
+    for rows, n in _random_row_lists(32, 600):
+        basis, pivots = _rref_ints(rows)
+        kernel = _kernel_ints(pivots, basis, n)
+        assert len(kernel) == n - len(basis)
+        free = [c for c in range(n) if c not in pivots]
+        assert [v.bit_length() - 1 for v in kernel] == free
+        assert all(_parities(basis, v) == 0 for v in kernel)
+        units = [1 << p for p in pivots]
+        columns = _transpose_ints(basis, n)
+        assert kernel == [1 << c | _xor_rows(units, columns[c]) for c in free]

@@ -156,7 +156,7 @@ class TestLogicalHadamard:
         from triortho.gf2 import _enumerate_span_ints, _rref_ints
 
         rows = small8_matrix.matrix.row_values()
-        outcomes = list(_enumerate_span_ints(_rref_ints(rows, small8_matrix.n)[0]))
+        outcomes = list(_enumerate_span_ints(_rref_ints(rows)[0]))
         assert len(outcomes) == 16
         for label in ((0,), (1,)):
             data = prepare_logical(small8_code, label)

@@ -144,3 +144,23 @@ def test_every_private_top_level_name_is_referenced():
             read = set().union(*reads[:i], *reads[i + 1 :])
             unreferenced.extend(f"{name}:{d}" for d in private if d not in read)
     assert not unreferenced, f"private top-level names never referenced: {unreferenced}"
+
+
+def test_no_function_has_an_unread_parameter():
+    # A parameter that the body never reads is an argument callers pass for nothing.
+    unread = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                read = {
+                    n.id
+                    for statement in node.body
+                    for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                unread.extend(
+                    f"{name}:{node.name}({p.arg})" for p in params if p and p.arg not in read
+                )
+    assert not unread, f"parameters never read: {unread}"

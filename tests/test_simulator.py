@@ -285,7 +285,7 @@ class TestSupportBounds:
         state = prepare_plus_all(builtin_code)
         source = builtin_code.source.matrix
         assert state.support_size() == 2**source.rank
-        expected = set(_enumerate_span_ints(_rref_ints(source.row_values(), source.n)[0]))
+        expected = set(_enumerate_span_ints(_rref_ints(source.row_values())[0]))
         assert set(state.amps) == expected
 
 
